@@ -39,4 +39,6 @@ pub use multiway_merge::{
     merge_sorted_runs, merge_sorted_runs_by, parallel_merge_sorted_runs,
     parallel_merge_sorted_runs_by, LoserTree,
 };
-pub use pipeline::{PipelineBreakdown, PipelineConfig, PipelineResources, PipelineSchedule};
+pub use pipeline::{
+    ChunkStream, PipelineBreakdown, PipelineConfig, PipelineResources, PipelineSchedule,
+};

@@ -75,6 +75,37 @@ impl PipelineResources {
     }
 }
 
+/// How one device streams its chunks through
+/// [`PipelineSchedule::schedule_chunks_on`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChunkStream {
+    /// Earliest start of the first upload.
+    pub start: SimTime,
+    /// Device-memory chunk slots (three with in-place replacement, four
+    /// without): an upload waits until the chunk that last held its slot
+    /// has begun draining back.  `None` lifts the limit; so does a stream
+    /// that does not download.
+    pub slots: Option<usize>,
+    /// Whether each sorted run returns over the device-to-host stream;
+    /// `false` when the runs leave the device another way.
+    pub download: bool,
+    /// Multiplier on every transfer time (1.0 on a healthy link).
+    pub stall: f64,
+}
+
+impl ChunkStream {
+    /// A stream from time zero through `slots` chunk slots, every run
+    /// returning over a healthy link.
+    pub fn slotted(slots: usize) -> Self {
+        ChunkStream {
+            start: SimTime::ZERO,
+            slots: Some(slots),
+            download: true,
+            stall: 1.0,
+        }
+    }
+}
+
 /// The resolved pipeline schedule.
 #[derive(Debug, Clone)]
 pub struct PipelineSchedule {
@@ -101,12 +132,13 @@ impl PipelineSchedule {
             dtoh: timeline.add_resource("PCIe DtH"),
         };
         let link: LinkSpec = config.bus.into();
+        let stream = ChunkStream::slotted(if config.in_place_replacement { 3 } else { 4 });
         let (mut breakdown, _chunk_finishes) = PipelineSchedule::schedule_chunks_on(
             &mut timeline,
             &resources,
             "",
             &link,
-            config.in_place_replacement,
+            &stream,
             chunk_bytes,
             sort_times,
         );
@@ -122,32 +154,32 @@ impl PipelineSchedule {
     /// Schedules one device's chunked upload → sort → download pipeline
     /// onto an *external* timeline, using the device's own [`LinkSpec`].
     ///
-    /// This is the multi-device composition primitive: the out-of-core
-    /// sharded sort gives every device of a pool its own three resources on
-    /// a shared timeline (links are independent, so devices overlap fully)
-    /// and runs this per-device schedule with the same in-place-replacement
-    /// slot dependency as [`PipelineSchedule::build`].  Event labels are
-    /// prefixed with `label_prefix` (e.g. `"dev0 "`).
+    /// This is the multi-device composition primitive: the sharded sort
+    /// gives every device of a pool its own three resources on a shared
+    /// timeline (links are independent, so devices overlap fully) and runs
+    /// this per-device schedule, shaped by `stream`: when it starts, how
+    /// many chunk slots bound the uploads, whether runs return to the host
+    /// and how degraded the link is.  Event labels are prefixed with
+    /// `label_prefix` (e.g. `"dev0 "`).
     ///
     /// The returned breakdown's `chunked_sort` is the finish time of this
-    /// device's last download on the shared timeline; `cpu_merge` is zero
-    /// (the caller merges all devices' runs once) and `end_to_end` equals
+    /// device's last chunk on the shared timeline (its download, or its
+    /// sort when runs stay on the device); `cpu_merge` is zero (the caller
+    /// merges all devices' runs once) and `end_to_end` equals
     /// `chunked_sort`.  The second return value is each chunk's finish
-    /// time (the end of its DtH transfer), in chunk order — callers that
-    /// need per-chunk bookkeeping use it instead of reverse-engineering
-    /// the timeline's event layout.
+    /// time, in chunk order — callers that need per-chunk bookkeeping use
+    /// it instead of reverse-engineering the timeline's event layout.
     pub fn schedule_chunks_on(
         timeline: &mut Timeline,
         resources: &PipelineResources,
         label_prefix: &str,
         link: &LinkSpec,
-        in_place_replacement: bool,
+        stream: &ChunkStream,
         chunk_bytes: &[u64],
         sort_times: &[SimTime],
     ) -> (PipelineBreakdown, Vec<SimTime>) {
         assert_eq!(chunk_bytes.len(), sort_times.len());
         let s = chunk_bytes.len();
-        let slot_dependency_distance = if in_place_replacement { 2 } else { 3 };
         let mut dtoh_start: Vec<SimTime> = Vec::with_capacity(s);
         let mut chunk_finishes: Vec<SimTime> = Vec::with_capacity(s);
         let mut total_htod = SimTime::ZERO;
@@ -156,19 +188,17 @@ impl PipelineSchedule {
         let mut finish = SimTime::ZERO;
 
         for i in 0..s {
-            let up_time = link.transfer_time(TransferDirection::HostToDevice, chunk_bytes[i]);
-            let down_time = link.transfer_time(TransferDirection::DeviceToHost, chunk_bytes[i]);
+            let transfer = |dir| link.transfer_time(dir, chunk_bytes[i]) * stream.stall;
+            let up_time = transfer(TransferDirection::HostToDevice);
             total_htod += up_time;
-            total_dtoh += down_time;
             total_sort += sort_times[i];
 
             // The upload may have to wait for its chunk slot: the slot is
             // reusable as soon as the previous occupant's return transfer
             // has started draining it (in-place replacement).
-            let slot_free = if i >= slot_dependency_distance {
-                dtoh_start[i - slot_dependency_distance]
-            } else {
-                SimTime::ZERO
+            let slot_free = match stream.slots {
+                Some(slots) if stream.download && i + 1 >= slots => dtoh_start[i + 1 - slots],
+                _ => stream.start,
             };
             let up = timeline.schedule(
                 format!("{label_prefix}HtD chunk {i}"),
@@ -182,15 +212,22 @@ impl PipelineSchedule {
                 up.end,
                 sort_times[i],
             );
-            let down = timeline.schedule(
-                format!("{label_prefix}DtH chunk {i}"),
-                resources.dtoh,
-                sort.end,
-                down_time,
-            );
-            dtoh_start.push(down.start);
-            chunk_finishes.push(down.end);
-            finish = finish.max(down.end);
+            let done = if stream.download {
+                let down_time = transfer(TransferDirection::DeviceToHost);
+                total_dtoh += down_time;
+                let down = timeline.schedule(
+                    format!("{label_prefix}DtH chunk {i}"),
+                    resources.dtoh,
+                    sort.end,
+                    down_time,
+                );
+                dtoh_start.push(down.start);
+                down.end
+            } else {
+                sort.end
+            };
+            chunk_finishes.push(done);
+            finish = finish.max(done);
         }
 
         (

@@ -1,36 +1,44 @@
 //! The sharded multi-device sorting engine.
 //!
-//! [`ShardedSorter`] runs one logical sort across every device of a
-//! [`DevicePool`]:
+//! [`ShardedSorter`] runs one logical sort across the devices of a
+//! [`DevicePool`] as a loop of *rounds*.  Each round
 //!
-//! 1. **Partition** (host): splitters are selected from MSD digit
-//!    histograms ([`crate::partition`]) so that the expected shard sizes
-//!    are proportional to the devices' capacity weights, and the input is
-//!    scattered into one buffer per device.  Measured for real.
-//! 2. **Device phase** (simulated, functionally real): every shard is
-//!    uploaded over its device's own link, sorted with the full
-//!    [`HybridRadixSorter`] configured for that device, and downloaded.
-//!    Each shard's transfers are split into chunks so uploads, sorting and
-//!    downloads overlap within a device — and devices overlap with each
-//!    other completely, since every link is independent.  The schedule is
-//!    built on a shared [`gpu_sim::Timeline`]; its makespan is the
-//!    critical-path simulated time.
-//! 3. **Recombination** (host): the `p` sorted runs are merged with the
-//!    generalised parallel p-way merge of
-//!    [`hetero::parallel_merge_sorted_runs_by`].  Range partitioning means
-//!    equal keys never straddle shards, so the merge simply concatenates
-//!    logically — but running the real merge keeps the engine honest for
-//!    any splitter policy.  Measured for real.
+//! 1. **partitions** the pending elements over the alive devices (host,
+//!    measured): splitters are selected from MSD digit histograms
+//!    ([`crate::partition`]) so that the expected shard sizes are
+//!    proportional to the devices' capacity weights, and the elements are
+//!    scattered into one shard per device — or, for the peer exchange,
+//!    carved into contiguous capacity-weighted slabs;
+//! 2. **cuts** every shard into units of work: the whole shard in core,
+//!    its [`crate::OocPlan`] chunks out of core;
+//! 3. **consults the fault plan**, serially in (device, unit) order, then
+//!    sorts the surviving units for real with the full
+//!    [`HybridRadixSorter`]: simulated devices fan out over the host
+//!    executor, one task per device with its units in stream order
+//!    through the device lane, and CPU-socket units sort afterwards in
+//!    isolation, so host contention cannot inflate the wall-clock they
+//!    report;
+//! 4. **schedules** the units on the shared [`gpu_sim::Timeline`] — every
+//!    device streams its units over its own link, so uploads, sorts and
+//!    downloads overlap within a device and devices overlap completely —
+//!    and requeues whatever the faults handed back for the next round.
+//!
+//! A fault-free sort is round 0 with nothing requeued; [`crate::recovery`]
+//! describes the retry rounds.  After the rounds, one recombination step
+//! runs once on all finished runs: the host p-way merge of
+//! [`hetero::parallel_merge_sorted_runs_by`] (overlapped with the chunk
+//! stream out of core) or the peer exchange of [`crate::exchange`].
 
 use crate::device_pool::DevicePool;
-use crate::exchange::RecombineStrategy;
+use crate::exchange::{carve_slabs, slab_lengths, RecombineStrategy};
 use crate::partition::{compute_splitters_with, scatter_into_shards, PartitionConfig, SplitterSet};
-use crate::recovery::RecoveryConfig;
-use crate::report::{RequestSpan, ShardReport, ShardedReport};
+use crate::recovery::{RecoveryConfig, SortError};
+use crate::report::{FaultEvent, OocChunkSpan, RequestSpan, ShardReport, ShardedReport};
 use crate::telemetry_paths as tp;
-use gpu_sim::{FaultPlan, SimTime, Timeline, TransferDirection};
-use hetero::chunking::split_into_chunks;
+use gpu_sim::{FaultPlan, SimTime, Timeline};
+use hetero::chunking::{split_into_chunks, ChunkPlan};
 use hetero::multiway_merge::parallel_merge_sorted_runs_by;
+use hetero::pipeline::{ChunkStream, PipelineResources, PipelineSchedule};
 use hrs_core::{Executor, HybridRadixSorter, SharedMut, SortReport};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -38,17 +46,9 @@ use telemetry::Inspector;
 use workloads::keys::SortKey;
 use workloads::pairs::SortValue;
 
-/// Key extractor for zipped `(key, value)` merge records.
-pub(crate) fn pair_key<K: SortKey, V>(p: &(K, V)) -> u64 {
-    p.0.to_radix()
-}
-
-/// One shard's completed device phase: the functional sort report plus the
-/// measured wall-clock the sort took on the host.
-pub(crate) struct ShardRun {
-    pub(crate) report: SortReport,
-    pub(crate) measured: Duration,
-}
+/// How many chunks an in-core shard's transfers are split into, so its
+/// upload, sort and download overlap on the device.
+const CHUNKS_PER_SHARD: usize = 4;
 
 /// A sorter that shards one input across several devices (simulated GPUs
 /// and/or real CPU sockets).
@@ -57,8 +57,6 @@ pub struct ShardedSorter {
     pub(crate) pool: DevicePool,
     pub(crate) template: HybridRadixSorter,
     pub(crate) merge_threads: usize,
-    pub(crate) partition: PartitionConfig,
-    pub(crate) chunks_per_shard: usize,
     pub(crate) ooc: crate::ooc::OocConfig,
     pub(crate) host_exec: Executor,
     /// One persistent [`HybridRadixSorter`] per pool device ("device
@@ -77,15 +75,10 @@ pub struct ShardedSorter {
     /// sees engine, lane and out-of-core metrics in one snapshot tree.
     pub(crate) inspector: Inspector,
     /// Injected fault script ([`gpu_sim::FaultPlan`]); `None` sorts clean.
-    /// While a plan still has unfired specs — or any pool device is dead —
-    /// sorts run through the fault-tolerant recovery path
-    /// ([`crate::recovery`]); otherwise the exact fast paths run unchanged.
     pub(crate) faults: Option<FaultPlan>,
-    /// Retry/backoff policy of the recovery path.
+    /// Retry/backoff policy of the round loop.
     pub(crate) recovery: RecoveryConfig,
-    /// How sorted shards are recombined ([`RecombineStrategy`]); the
-    /// default host p-way merge keeps this engine byte-identical to the
-    /// pre-exchange versions.
+    /// How sorted shards are recombined ([`RecombineStrategy`]).
     pub(crate) recombine: RecombineStrategy,
 }
 
@@ -99,8 +92,6 @@ impl ShardedSorter {
             pool,
             template: HybridRadixSorter::with_defaults(),
             merge_threads: 6,
-            partition: PartitionConfig::default(),
-            chunks_per_shard: 4,
             ooc: crate::ooc::OocConfig::default(),
             host_exec: Executor::threaded(),
             lanes: Mutex::new(Vec::new()),
@@ -137,21 +128,8 @@ impl ShardedSorter {
         self
     }
 
-    /// Replaces the splitter-selection configuration.
-    pub fn with_partition_config(mut self, cfg: PartitionConfig) -> Self {
-        self.partition = cfg;
-        self
-    }
-
-    /// Sets how many chunks each shard's transfers are split into (more
-    /// chunks = finer upload/sort/download overlap per device).
-    pub fn with_chunks_per_shard(mut self, chunks: usize) -> Self {
-        self.chunks_per_shard = chunks.max(1);
-        self
-    }
-
     /// Replaces the out-of-core configuration used by
-    /// [`Self::sort_out_of_core`] / [`Self::sort_out_of_core_pairs`].
+    /// [`Self::sort_out_of_core`] and its fallible variants.
     pub fn with_ooc_config(mut self, cfg: crate::ooc::OocConfig) -> Self {
         self.ooc = cfg;
         self
@@ -165,19 +143,18 @@ impl ShardedSorter {
         self
     }
 
-    /// Installs an injected-fault script.  While the plan has unfired specs
-    /// (or a device has been marked dead), every sort runs through the
-    /// fault-tolerant recovery path: failed devices are marked dead in the
-    /// pool, their work is requeued onto the survivors with bounded retries
-    /// and exponential simulated backoff, and every fault is recorded in
-    /// [`ShardedReport::faults`] and telemetry.  Clones of the sorter share
-    /// the plan's fired/op state.
+    /// Installs an injected-fault script.  Every sort consults it once per
+    /// unit of work (and once more mid-exchange): failed devices are marked
+    /// dead in the pool, their work is requeued onto the survivors with
+    /// bounded retries and exponential simulated backoff, and every fault
+    /// is recorded in [`ShardedReport::faults`] and telemetry.  Clones of
+    /// the sorter share the plan's fired/op state.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
     }
 
-    /// Replaces the retry/backoff policy of the recovery path.
+    /// Replaces the retry/backoff policy of the round loop.
     pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
         self.recovery = cfg;
         self
@@ -205,9 +182,9 @@ impl ShardedSorter {
         self.faults.as_ref()
     }
 
-    /// Whether sorts currently route through the fault-tolerant recovery
-    /// path: an unexhausted fault script is installed, or a pool device has
-    /// been marked dead (survivor-only partitioning is then required).
+    /// Whether a sort may still need retry rounds: an unexhausted fault
+    /// script is installed, or a pool device has been marked dead (the
+    /// partition then runs over the survivors only).
     pub fn fault_path_active(&self) -> bool {
         self.pool.any_dead() || self.faults.as_ref().is_some_and(|p| !p.is_exhausted())
     }
@@ -251,21 +228,26 @@ impl ShardedSorter {
     /// device dead, or retries exhausted); use [`Self::try_sort`] for the
     /// fallible form.
     pub fn sort<K: SortKey>(&self, keys: &mut Vec<K>) -> ShardedReport {
-        self.try_sort(keys)
+        self.run(keys, &mut Vec::<()>::new(), false, None)
             .expect("sharded sort failed; use try_sort to handle device loss")
     }
 
+    /// Fallible counterpart of [`Self::sort`]: returns a typed
+    /// [`SortError`] with `keys` restored (unsorted, never lost) when the
+    /// pool cannot finish the sort.
+    pub fn try_sort<K: SortKey>(&self, keys: &mut Vec<K>) -> Result<ShardedReport, SortError> {
+        self.run(keys, &mut Vec::<()>::new(), false, None)
+    }
+
     /// Sorts `keys` across the pool, permuting `values` along with them.
-    ///
-    /// Panics on recovery failure like [`Self::sort`]; see
-    /// [`Self::try_sort_pairs`].
+    /// Panics on recovery failure like [`Self::sort`].
     pub fn sort_pairs<K: SortKey, V: SortValue>(
         &self,
         keys: &mut Vec<K>,
         values: &mut Vec<V>,
     ) -> ShardedReport {
-        self.try_sort_pairs(keys, values)
-            .expect("sharded pair sort failed; use try_sort_pairs to handle device loss")
+        self.run(keys, values, false, None)
+            .expect("sharded pair sort failed; use try_sort_batch_pairs to handle device loss")
     }
 
     /// Batch-aware entry point: sorts the concatenation of several
@@ -274,175 +256,72 @@ impl ShardedSorter {
     /// every requester its slice of the shared schedule.
     ///
     /// `request_lens` lists each request's element count in submission
-    /// order; the lengths must sum to `keys.len()`.  Note the output is the
-    /// *globally* sorted batch — demultiplexing interleaved requests back
-    /// apart is the caller's job (the `sort_service` crate tags keys with
-    /// their request slot for exactly this).
+    /// order; the lengths must sum to `keys.len()` (checked before any
+    /// work, so a mismatch panics with `keys` untouched).  Note the output
+    /// is the *globally* sorted batch — demultiplexing interleaved
+    /// requests back apart is the caller's job (the `sort_service` crate
+    /// tags keys with their request slot for exactly this).
     pub fn sort_batch<K: SortKey>(
         &self,
         keys: &mut Vec<K>,
         request_lens: &[usize],
     ) -> ShardedReport {
-        self.try_sort_batch(keys, request_lens)
-            .expect("sharded batch sort failed; use try_sort_batch to handle device loss")
+        self.run(keys, &mut Vec::<()>::new(), false, Some(request_lens))
+            .expect("sharded batch sort failed; use try_sort_batch_pairs to handle device loss")
     }
 
-    /// Batch-aware pair sort: like [`Self::sort_batch`], with a value
-    /// permuted along with every key (the service uses the value as the
-    /// demux tag).
-    pub fn sort_batch_pairs<K: SortKey, V: SortValue>(
+    /// Fallible batch-aware pair sort: like [`Self::sort_batch`], with a
+    /// value permuted along with every key (the service uses the value as
+    /// the demux tag).
+    pub fn try_sort_batch_pairs<K: SortKey, V: SortValue>(
         &self,
         keys: &mut Vec<K>,
         values: &mut Vec<V>,
         request_lens: &[usize],
-    ) -> ShardedReport {
-        self.try_sort_batch_pairs(keys, values, request_lens)
-            .expect(
-                "sharded batch pair sort failed; use try_sort_batch_pairs to handle device loss",
-            )
+    ) -> Result<ShardedReport, SortError> {
+        self.run(keys, values, false, Some(request_lens))
     }
 
-    pub(crate) fn request_spans(total: usize, request_lens: &[usize]) -> Vec<RequestSpan> {
-        assert_eq!(
-            request_lens.iter().sum::<usize>(),
-            total,
-            "request lengths must cover the whole batch"
-        );
-        let mut offset = 0u64;
-        request_lens
-            .iter()
-            .enumerate()
-            .map(|(index, &len)| {
-                let span = RequestSpan {
-                    index,
-                    offset,
-                    len: len as u64,
-                };
-                offset += len as u64;
-                span
-            })
-            .collect()
+    /// Sorts `keys` across the pool through the out-of-core chunked
+    /// pipeline, so the input may exceed every device's memory budget (and
+    /// the sum of device memories).  Functionally identical to
+    /// [`Self::sort`]; the schedule models each device streaming its shard
+    /// chunk by chunk over its own link.
+    pub fn sort_out_of_core<K: SortKey>(&self, keys: &mut Vec<K>) -> ShardedReport {
+        self.run(keys, &mut Vec::<()>::new(), true, None)
+            .expect("out-of-core sort failed; use try_sort_out_of_core to handle device loss")
     }
 
-    pub(crate) fn sort_impl<K: SortKey, V: SortValue>(
+    /// Fallible counterpart of [`Self::sort_out_of_core`].
+    pub fn try_sort_out_of_core<K: SortKey>(
+        &self,
+        keys: &mut Vec<K>,
+    ) -> Result<ShardedReport, SortError> {
+        self.run(keys, &mut Vec::<()>::new(), true, None)
+    }
+
+    /// Batch-aware out-of-core entry point used by the service's
+    /// over-budget lane: records the single request's [`RequestSpan`] in
+    /// the report (the lane never coalesces, so the span covers the whole
+    /// input).
+    pub fn try_sort_out_of_core_batch<K: SortKey>(
+        &self,
+        keys: &mut Vec<K>,
+    ) -> Result<ShardedReport, SortError> {
+        let whole = [keys.len()];
+        self.run(keys, &mut Vec::<()>::new(), true, Some(&whole))
+    }
+
+    /// Pair counterpart of [`Self::try_sort_out_of_core_batch`].
+    pub fn try_sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
         &self,
         keys: &mut Vec<K>,
         values: &mut Vec<V>,
-    ) -> ShardedReport {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-
-        // 1. Partition (host, measured): splitter selection plus the
-        // executor-parallel scatter into shard buffers.
-        let partition_span = self
-            .inspector
-            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let splitters = compute_splitters_with(
-            keys,
-            &self.pool.capacity_weights(),
-            &self.partition,
-            &self.host_exec,
-        );
-        let (mut shard_keys, mut shard_vals) =
-            scatter_into_shards(keys, values, &splitters, &self.host_exec);
-        let measured_partition = partition_span.finish();
-
-        // 2. Device phase: real per-shard sorts fanned out over the host
-        // executor's workers, simulated schedule (measured for CPU-socket
-        // devices).
-        let shard_runs = self.sort_shards(&mut shard_keys, &mut shard_vals);
-        let (timeline, shards) =
-            self.build_schedule(&splitters, &shard_keys, &shard_runs, elem_bytes);
-        let critical_path = timeline.makespan();
-
-        // 3. Recombination (host, measured): generalised p-way merge over
-        // zipped (key, value) records.
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        let runs: Vec<Vec<(K, V)>> = shard_keys
-            .iter()
-            .zip(shard_vals.iter())
-            .map(|(ks, vs)| ks.iter().copied().zip(vs.iter().copied()).collect())
-            .collect();
-        let refs: Vec<&[(K, V)]> = runs.iter().map(|r| r.as_slice()).collect();
-        let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-        *keys = merged.iter().map(|&(k, _)| k).collect();
-        *values = merged.into_iter().map(|(_, v)| v).collect();
-        let measured_merge = merge_span.finish();
-
-        // Aggregate the per-shard reports through the core hook.
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for r in &shard_runs {
-            combined.absorb(&r.report);
-        }
-
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-
-        let report = ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline,
-            requests: Vec::new(),
-            ooc_chunks: Vec::new(),
-            faults: Vec::new(),
-            recombine: RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
-        };
-        self.note_sort(&report, elem_bytes);
-        report
+    ) -> Result<ShardedReport, SortError> {
+        let whole = [keys.len()];
+        self.run(keys, values, true, Some(&whole))
     }
 
-    /// Records the engine-level metrics of one completed sharded sort:
-    /// sort/key counters plus per-device transfer bytes, utilisation
-    /// (fraction of the device's span spent sorting) and overlap ratio
-    /// (stage-busy time over span — above 1.0 means transfers genuinely
-    /// overlapped the sort).
-    pub(crate) fn note_sort(&self, report: &ShardedReport, elem_bytes: u64) {
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(report.n);
-        // Register the fault and exchange subtrees eagerly (registration
-        // is idempotent) so every snapshot exposes their health — zero or
-        // not.
-        crate::recovery::register_fault_probes(t);
-        crate::exchange::register_exchange_probes(t);
-        for (i, shard) in report.shards.iter().enumerate() {
-            let dev = |leaf: &str| format!("multi_gpu/dev{i}/{leaf}");
-            // Every element crosses the link twice: upload and download.
-            t.counter(&dev("transfer_bytes"))
-                .add(2 * shard.n * elem_bytes);
-            let span = shard.finish.secs();
-            if span > 0.0 {
-                t.float_gauge(&dev("utilisation"))
-                    .set(shard.gpu_sort.secs() / span);
-                let busy = (shard.upload + shard.gpu_sort + shard.download).secs();
-                t.float_gauge(&dev("overlap_ratio")).set(busy / span);
-            }
-        }
-    }
-
-    /// Runs the functional hybrid radix sort of every shard.
-    ///
-    /// Simulated-GPU shards sort with the sequential backend (their time
-    /// comes from the analytical model) and are fanned out over the host
-    /// executor's workers.  CPU-socket shards sort with the threaded
-    /// backend sized to the socket's workers — and because their measured
-    /// wall-clock *is* the schedule input, each one runs in isolation
-    /// after the simulated fan-out, so host contention from other shards
-    /// cannot inflate the one number the feature claims to measure for
-    /// real.
     /// The per-device lane sorter: the template specialised to pool device
     /// `i`'s hardware model, executor and telemetry prefix.
     pub(crate) fn lane_sorter(&self, i: usize) -> HybridRadixSorter {
@@ -454,13 +333,30 @@ impl ShardedSorter {
             .with_telemetry(&self.inspector, &format!("core/dev{i}"))
     }
 
-    pub(crate) fn sort_shards<K: SortKey, V: SortValue>(
+    /// The round loop behind every entry point (see the module docs).
+    fn run<K: SortKey, V: SortValue>(
         &self,
-        shard_keys: &mut [Vec<K>],
-        shard_vals: &mut [Vec<V>],
-    ) -> Vec<ShardRun> {
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+        out_of_core: bool,
+        request_lens: Option<&[usize]>,
+    ) -> Result<ShardedReport, SortError> {
+        let n = keys.len();
+        let requests = request_lens.map_or_else(Vec::new, |lens| request_spans(n, lens));
+        assert!(
+            std::mem::size_of::<V>() == 0 || values.len() == n,
+            "keys and values must have the same length"
+        );
+        // Key-only sorts carry a zero-sized value per key (free to
+        // materialise), so shards always carve symmetrically.
+        values.resize(n, V::default());
+        let value_bytes = std::mem::size_of::<V>() as u32;
+        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
+        let peer = !out_of_core
+            && self.resolve_recombine(n as u64 * elem_bytes) == RecombineStrategy::PeerExchange;
+        let clock = Instant::now();
         let p = self.pool.len();
-        let sorter_for = |i: usize| self.lane_sorter(i);
+
         // Reuse the persistent device lanes (and their warm scratch
         // arenas) when they are free; a concurrent sort through the same
         // sorter falls back to ephemeral lanes instead of blocking.
@@ -471,133 +367,442 @@ impl ShardedSorter {
             None => fallback.get_or_insert_with(Vec::new),
         };
         if lanes.len() != p {
-            *lanes = (0..p).map(sorter_for).collect();
+            *lanes = (0..p).map(|i| self.lane_sorter(i)).collect();
         }
         let lanes: &[HybridRadixSorter] = lanes;
-        let simulated: Vec<usize> = (0..p)
-            .filter(|&i| !self.pool.devices()[i].backend.is_measured())
-            .collect();
 
-        let mut runs: Vec<Option<ShardRun>> = (0..p).map(|_| None).collect();
-        {
-            let keys_view = SharedMut::new(shard_keys);
-            let vals_view = SharedMut::new(shard_vals);
-            let runs_view = SharedMut::new(&mut runs);
-            self.host_exec.for_each_task(simulated.len(), |t, _worker| {
-                let i = simulated[t];
-                // SAFETY: shard indices are distinct across tasks, so task
-                // `t` exclusively owns shard `i`'s buffers and result slot.
-                let (ks, vs, slot) = unsafe {
-                    (
-                        &mut keys_view.slice_mut(i, 1)[0],
-                        &mut vals_view.slice_mut(i, 1)[0],
-                        &mut runs_view.slice_mut(i, 1)[0],
-                    )
-                };
-                let start = Instant::now();
-                let report = lanes[i].sort_pairs(ks, vs);
-                *slot = Some(ShardRun {
-                    report,
-                    measured: start.elapsed(),
-                });
-            });
-        }
-        // Measured (CPU-socket) shards, one at a time on an otherwise idle
-        // host.
-        for i in 0..p {
-            if runs[i].is_some() {
-                continue;
+        let mut r = Rounds::new(p, out_of_core, peer, elem_bytes);
+        let mut pending = (std::mem::take(keys), std::mem::take(values));
+        let mut round = 0u32;
+        let mut start = SimTime::ZERO;
+        let failure = loop {
+            let alive = self.pool.alive_indices();
+            if alive.is_empty() {
+                break Some(SortError::AllDevicesDead { failed: p });
             }
-            let start = Instant::now();
-            let report = lanes[i].sort_pairs(&mut shard_keys[i], &mut shard_vals[i]);
-            runs[i] = Some(ShardRun {
-                report,
-                measured: start.elapsed(),
-            });
-        }
-        runs.into_iter()
-            .map(|r| r.expect("shard sort did not run"))
-            .collect()
-    }
-
-    /// Schedules every shard's chunked upload → sort → download on its
-    /// device's resources and returns the shared timeline plus the
-    /// per-shard reports.
-    fn build_schedule<K: SortKey>(
-        &self,
-        splitters: &SplitterSet,
-        shard_keys: &[Vec<K>],
-        runs: &[ShardRun],
-        elem_bytes: u64,
-    ) -> (Timeline, Vec<ShardReport>) {
-        let mut tl = Timeline::new();
-        let ranges = splitters.ranges();
-        let mut shards = Vec::with_capacity(self.pool.len());
-        for (i, device) in self.pool.devices().iter().enumerate() {
-            let htod = tl.add_resource(format!("dev{i} HtD"));
-            let gpu = tl.add_resource(format!("dev{i} GPU"));
-            let dtoh = tl.add_resource(format!("dev{i} DtH"));
-
-            let shard_n = shard_keys[i].len();
-            // Simulated GPUs contribute their modelled kernel time; a CPU
-            // socket contributes the wall-clock its threaded sort really
-            // took.
-            let sort_total = if device.backend.is_measured() {
-                SimTime::from_secs(runs[i].measured.as_secs_f64())
-            } else {
-                runs[i].report.simulated.total
-            };
-            let mut upload = SimTime::ZERO;
-            let mut gpu_sort = SimTime::ZERO;
-            let mut download = SimTime::ZERO;
-            let mut finish = SimTime::ZERO;
-            if shard_n > 0 {
-                let plan = split_into_chunks(shard_n, self.chunks_per_shard.min(shard_n));
-                for (j, &(start, end)) in plan.ranges.iter().enumerate() {
-                    let chunk_len = end - start;
-                    let chunk_bytes = chunk_len as u64 * elem_bytes;
-                    let up = tl.schedule(
-                        format!("HtD s{i} c{j}"),
-                        htod,
-                        SimTime::ZERO,
-                        device
-                            .link
-                            .transfer_time(TransferDirection::HostToDevice, chunk_bytes),
-                    );
-                    let sort = tl.schedule_after(
-                        format!("sort s{i} c{j}"),
-                        gpu,
-                        &[up.end],
-                        sort_total * (chunk_len as f64 / shard_n as f64),
-                    );
-                    let down = tl.schedule_after(
-                        format!("DtH s{i} c{j}"),
-                        dtoh,
-                        &[sort.end],
-                        device
-                            .link
-                            .transfer_time(TransferDirection::DeviceToHost, chunk_bytes),
-                    );
-                    upload += up.duration();
-                    gpu_sort += sort.duration();
-                    download += down.duration();
-                    finish = finish.max(down.end);
+            if round > self.recovery.max_retries {
+                break Some(SortError::RetriesExhausted {
+                    retries: self.recovery.max_retries,
+                    unsorted: pending.0.len() as u64,
+                });
+            }
+            let mut shards = self.partition_round(&mut r, &mut pending, &alive, round);
+            self.sort_shards(lanes, &mut shards);
+            if peer {
+                // The mid-exchange fault point: a device holding a sorted
+                // slab takes it down with it (or hands it back corrupt),
+                // or runs its exchange legs stalled.
+                for shard in &mut shards {
+                    let len = shard.units.iter().map(|u| u.keys.len()).sum();
+                    if len == 0 {
+                        continue;
+                    }
+                    match self.next_fault(shard.device, round, len, &mut r.events) {
+                        Some(f) => r.xstall[shard.device] = r.xstall[shard.device].max(f),
+                        None => requeue(&mut pending, shard.units.drain(..)),
+                    }
                 }
             }
-            shards.push(ShardReport {
-                device: device.spec.name.clone(),
-                link: device.link.kind.label().to_string(),
-                n: shard_n as u64,
-                range: ranges[i],
-                report: runs[i].report.clone(),
-                upload,
-                gpu_sort,
-                download,
-                finish,
-                measured_sort: device.backend.is_measured().then_some(runs[i].measured),
+            for shard in shards {
+                // A shard whose every element went back to pending did no
+                // work worth reporting.
+                if !shard.units.is_empty() || shard.partitioned == 0 {
+                    self.schedule_shard(&mut r, shard, start, round);
+                }
+            }
+            if pending.0.is_empty() {
+                break None;
+            }
+            // This round's faults wait out an exponential simulated backoff
+            // before their requeue round starts.
+            let delay = self.recovery.backoff * 2f64.powi(round as i32);
+            for ev in r.events.iter_mut().filter(|e| e.round == round) {
+                ev.backoff = delay;
+            }
+            start = r.tl.makespan() + delay;
+            round += 1;
+        };
+        drop(guard);
+
+        if let Some(err) = failure {
+            // Restore every element — sorted runs and still-pending alike —
+            // so the caller's data survives the failure unsorted but whole.
+            requeue(&mut pending, r.runs.drain(..));
+            (*keys, *values) = pending;
+            self.note_fault_outcomes(&r.events, round, clock.elapsed(), out_of_core);
+            return Err(err);
+        }
+        drop(pending);
+
+        let (exchange, dest_out, orphans) = if peer {
+            self.exchange(&mut r)
+        } else {
+            Default::default()
+        };
+        let critical_path = r.tl.makespan();
+
+        // The host step (measured): the p-way merge of every finished run —
+        // or, after the exchange, the concatenation of the destinations'
+        // output ranges, which tile the key space in order unless orphan
+        // buckets overlap them.
+        let merge_span = self
+            .inspector
+            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
+        let outputs: Vec<(&[K], &[V])> = if peer {
+            let dests = dest_out.iter().map(|(k, v)| (&k[..], &v[..]));
+            let stray = orphans
+                .iter()
+                .map(|&(i, lo, hi)| (&r.runs[i].keys[lo..hi], &r.runs[i].vals[lo..hi]));
+            dests.chain(stray).collect()
+        } else {
+            r.runs.iter().map(|u| (&u.keys[..], &u.vals[..])).collect()
+        };
+        (*keys, *values) = if peer && orphans.is_empty() {
+            (
+                outputs.iter().flat_map(|o| o.0.iter().copied()).collect(),
+                outputs.iter().flat_map(|o| o.1.iter().copied()).collect(),
+            )
+        } else {
+            self.merge_runs(&outputs)
+        };
+        let measured_merge = merge_span.finish();
+
+        let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
+        let partition = SimTime::from_secs(r.measured_partition.as_secs_f64());
+        let merge_overlap = out_of_core
+            .then(|| crate::ooc::overlap_merge_tail(&mut r.tl, &r.ooc_chunks, merge_total))
+            .flatten();
+        let end_to_end = if merge_overlap.is_some() {
+            partition + r.tl.makespan()
+        } else {
+            partition + critical_path + merge_total
+        };
+        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
+        for run in &r.runs {
+            combined.absorb(&run.report);
+        }
+        for ev in &mut r.events {
+            ev.recovered = true;
+        }
+        let (devices, shards): (Vec<usize>, Vec<ShardReport>) = r.shards.into_iter().unzip();
+        let (splitters, _) = r.first.expect("round 0 always partitions");
+        let report = ShardedReport {
+            n: n as u64,
+            key_bytes: K::BYTES,
+            value_bytes,
+            shards,
+            splitters,
+            critical_path,
+            measured_partition: r.measured_partition,
+            measured_merge,
+            end_to_end,
+            combined,
+            timeline: r.tl,
+            requests,
+            ooc_chunks: r.ooc_chunks,
+            faults: r.events,
+            recombine: if peer {
+                RecombineStrategy::PeerExchange
+            } else {
+                RecombineStrategy::HostMerge
+            },
+            exchange,
+        };
+        self.note_sort(
+            &report,
+            &devices,
+            &r.moved,
+            elem_bytes,
+            out_of_core,
+            merge_overlap,
+        );
+        self.note_fault_outcomes(&report.faults, round, clock.elapsed(), out_of_core);
+        Ok(report)
+    }
+
+    /// Steps 1–3 up to the sort: partitions `pending` over the `alive`
+    /// devices, cuts every shard into units and consults the fault plan
+    /// for each unit, handing faulted units straight back to `pending`.
+    fn partition_round<K: SortKey, V: SortValue>(
+        &self,
+        r: &mut Rounds<K, V>,
+        pending: &mut (Vec<K>, Vec<V>),
+        alive: &[usize],
+        round: u32,
+    ) -> Vec<Shard<K, V>> {
+        let span = self
+            .inspector
+            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
+        let devices = self.pool.devices();
+        let weights: Vec<f64> = alive
+            .iter()
+            .map(|&g| devices[g].capacity_weight())
+            .collect();
+        let cfg = PartitionConfig::default();
+        let splitters = compute_splitters_with(&pending.0, &weights, &cfg, &self.host_exec);
+        let (shard_keys, shard_vals) = if r.peer {
+            let lens = slab_lengths(pending.0.len(), &weights);
+            carve_slabs(&mut pending.0, &mut pending.1, &lens)
+        } else {
+            scatter_into_shards(&mut pending.0, &mut pending.1, &splitters, &self.host_exec)
+        };
+        // The shards own every element now; pending only collects what
+        // this round's faults hand back.
+        pending.0.shrink_to_fit();
+        pending.1.shrink_to_fit();
+        r.measured_partition += span.finish();
+        let ranges = splitters.ranges();
+        r.first.get_or_insert_with(|| (splitters, alive.to_vec()));
+
+        let mut shards = Vec::with_capacity(alive.len());
+        for (l, (mut ks, mut vs)) in shard_keys.into_iter().zip(shard_vals).enumerate() {
+            let g = alive[l];
+            if !self.pool.alive(g) {
+                // Died since alive_indices() (a concurrent sort sharing this
+                // pool): requeue the whole shard untouched.
+                requeue_one(pending, ks, vs);
+                continue;
+            }
+            let plan = if r.out_of_core {
+                self.ooc.plan_for(&devices[g], ks.len(), r.elem_bytes)
+            } else {
+                ChunkPlan {
+                    ranges: vec![(0, ks.len())],
+                }
+            };
+            let mut shard = Shard {
+                device: g,
+                range: ranges[l],
+                partitioned: ks.len(),
+                stall: 1.0,
+                units: Vec::with_capacity(plan.num_chunks()),
+            };
+            // Carve back to front; chunk 0 keeps the shard's own buffers.
+            let mut pieces: Vec<(usize, Vec<K>, Vec<V>)> = Vec::new();
+            for &(at, _) in plan.ranges.iter().skip(1).rev() {
+                pieces.push((at, ks.split_off(at), vs.split_off(at)));
+            }
+            if !plan.ranges.is_empty() {
+                pieces.push((0, ks, vs));
+            }
+            let mut dead = false;
+            for (chunk, (offset, ck, cv)) in pieces.into_iter().rev().enumerate() {
+                let stall = if dead {
+                    // Lost with the device; its failure event absorbs the
+                    // requeued volume.
+                    if let Some(ev) = r.events.last_mut() {
+                        ev.requeued += ck.len() as u64;
+                    }
+                    None
+                } else if ck.is_empty() {
+                    Some(1.0)
+                } else {
+                    self.next_fault(g, round, ck.len(), &mut r.events)
+                };
+                match stall {
+                    Some(f) => {
+                        shard.stall = shard.stall.max(f);
+                        shard.units.push(Unit {
+                            device: g,
+                            chunk,
+                            offset: offset as u64,
+                            keys: ck,
+                            vals: cv,
+                            report: SortReport::new(0, K::BYTES, 0),
+                            measured: Duration::ZERO,
+                            ready: SimTime::ZERO,
+                        });
+                    }
+                    None => {
+                        dead = !self.pool.alive(g);
+                        requeue_one(pending, ck, cv);
+                    }
+                }
+            }
+            shards.push(shard);
+        }
+        shards
+    }
+
+    /// Sorts every unit for real through its device's lane.  Simulated
+    /// devices fan out over the host executor, one task per device sorting
+    /// its units in stream order (a real device sorts one unit at a time,
+    /// and serial lane use keeps the warm arena uncontended).  CPU-socket
+    /// units then sort one device at a time on an otherwise idle host,
+    /// because their measured wall-clock *is* the schedule input.
+    fn sort_shards<K: SortKey, V: SortValue>(
+        &self,
+        lanes: &[HybridRadixSorter],
+        shards: &mut [Shard<K, V>],
+    ) {
+        let measured = |s: &Shard<K, V>| self.pool.devices()[s.device].backend.is_measured();
+        let simulated: Vec<usize> = (0..shards.len())
+            .filter(|&i| !measured(&shards[i]))
+            .collect();
+        {
+            let view = SharedMut::new(&mut *shards);
+            self.host_exec.for_each_task(simulated.len(), |t, _worker| {
+                // SAFETY: shard indices are distinct across tasks, so task
+                // `t` exclusively owns shard `simulated[t]`.
+                let shard = unsafe { &mut view.slice_mut(simulated[t], 1)[0] };
+                shard.sort_units(&lanes[shard.device]);
             });
         }
-        (tl, shards)
+        for shard in shards.iter_mut().filter(|s| measured(s)) {
+            shard.sort_units(&lanes[shard.device]);
+        }
+    }
+
+    /// Step 4: streams one shard's sorted units over its device's link,
+    /// starting no earlier than `start`, and files the shard's report, its
+    /// out-of-core chunk spans and its runs.  In core the shard's one unit
+    /// streams in [`CHUNKS_PER_SHARD`] chunks, each carrying its share of
+    /// the sort time; out of core every unit is one pipeline chunk bound
+    /// by the device's chunk slots.  Runs leaving through the peer
+    /// exchange are not downloaded.
+    fn schedule_shard<K: SortKey, V: SortValue>(
+        &self,
+        r: &mut Rounds<K, V>,
+        shard: Shard<K, V>,
+        start: SimTime,
+        round: u32,
+    ) {
+        let g = shard.device;
+        let device = &self.pool.devices()[g];
+        let measured = device.backend.is_measured();
+        // Simulated GPUs contribute their modelled kernel time; a CPU
+        // socket contributes the wall-clock its threaded sort really took.
+        let sort_time = |u: &Unit<K, V>| {
+            if measured {
+                SimTime::from_secs(u.measured.as_secs_f64())
+            } else {
+                u.report.simulated.total
+            }
+        };
+        let eb = r.elem_bytes;
+        let (bytes, sorts): (Vec<u64>, Vec<SimTime>) = if r.out_of_core {
+            let bytes = |u: &Unit<K, V>| u.keys.len() as u64 * eb;
+            shard.units.iter().map(|u| (bytes(u), sort_time(u))).unzip()
+        } else {
+            shard
+                .units
+                .iter()
+                .flat_map(|u| {
+                    let (len, total) = (u.keys.len(), sort_time(u));
+                    let plan = split_into_chunks(len, CHUNKS_PER_SHARD.min(len));
+                    plan.ranges.into_iter().map(move |(a, b)| {
+                        ((b - a) as u64 * eb, total * ((b - a) as f64 / len as f64))
+                    })
+                })
+                .unzip()
+        };
+        let stream = ChunkStream {
+            start,
+            slots: r.out_of_core.then(|| self.ooc.slots() as usize),
+            download: !r.peer,
+            stall: shard.stall,
+        };
+        let (stage, finishes) = PipelineSchedule::schedule_chunks_on(
+            &mut r.tl,
+            &r.res[g],
+            &format!("dev{g} r{round} "),
+            &device.link,
+            &stream,
+            &bytes,
+            &sorts,
+        );
+        let n: usize = shard.units.iter().map(|u| u.keys.len()).sum();
+        r.moved[g] += (if r.peer { n } else { 2 * n }) as u64;
+        if r.out_of_core {
+            for ((u, &sort), &finish) in shard.units.iter().zip(&sorts).zip(&finishes) {
+                r.ooc_chunks.push(OocChunkSpan {
+                    device: g,
+                    chunk: u.chunk,
+                    offset: u.offset,
+                    len: u.keys.len() as u64,
+                    sort,
+                    finish,
+                });
+            }
+        }
+        let report = ShardReport {
+            device: device.spec.name.clone(),
+            link: device.link.kind.label().to_string(),
+            n: n as u64,
+            range: shard.range,
+            report: merged_report(shard.units.iter().map(|u| &u.report)),
+            upload: stage.total_htod,
+            gpu_sort: stage.total_gpu_sort,
+            download: stage.total_dtoh,
+            finish: stage.chunked_sort,
+            measured_sort: measured.then(|| shard.units.iter().map(|u| u.measured).sum()),
+        };
+        r.shards.push((g, report));
+        r.runs.extend(shard.units.into_iter().map(|u| Unit {
+            ready: stage.chunked_sort,
+            ..u
+        }));
+    }
+
+    /// Zips every run's keys with its values, p-way merges the runs on
+    /// `merge_threads` host threads and unzips the result.
+    pub(crate) fn merge_runs<K: SortKey, V: SortValue>(
+        &self,
+        runs: &[(&[K], &[V])],
+    ) -> (Vec<K>, Vec<V>) {
+        let zipped: Vec<Vec<(K, V)>> = runs
+            .iter()
+            .map(|(ks, vs)| ks.iter().copied().zip(vs.iter().copied()).collect())
+            .collect();
+        let refs: Vec<&[(K, V)]> = zipped.iter().map(Vec::as_slice).collect();
+        let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, |p| p.0.to_radix());
+        (
+            merged.iter().map(|&(k, _)| k).collect(),
+            merged.into_iter().map(|(_, v)| v).collect(),
+        )
+    }
+
+    /// Records the engine-level metrics of one completed sort: sort/key
+    /// counters; per device its host-link transfer bytes, utilisation
+    /// (fraction of its span spent sorting) and overlap ratio (stage-busy
+    /// time over span — above 1.0 means transfers genuinely overlapped the
+    /// sort); the exchange subtree; and, out of core, the chunk counters,
+    /// the pipeline occupancy (the fraction of the pool's three stages
+    /// kept busy over the makespan) and how much of the host tail merge
+    /// hid under the chunk stream.  `devices[i]` is the device of shard
+    /// `i`; `moved[g]` counts the elements device `g` moved over its link.
+    fn note_sort(
+        &self,
+        report: &ShardedReport,
+        devices: &[usize],
+        moved: &[u64],
+        elem_bytes: u64,
+        out_of_core: bool,
+        merge_overlap: Option<f64>,
+    ) {
+        let t = &self.inspector;
+        t.counter(tp::SORTS).inc();
+        t.counter(tp::KEYS).add(report.n);
+        crate::exchange::register_exchange_probes(t);
+        let dev = |g: usize, leaf: &str| format!("multi_gpu/dev{g}/{leaf}");
+        for (g, &elems) in moved.iter().enumerate() {
+            t.counter(&dev(g, "transfer_bytes")).add(elems * elem_bytes);
+        }
+        for (&g, shard) in devices.iter().zip(&report.shards) {
+            let span = shard.finish.secs();
+            if span > 0.0 {
+                t.float_gauge(&dev(g, "utilisation"))
+                    .set(shard.gpu_sort.secs() / span);
+                let busy = (shard.upload + shard.gpu_sort + shard.download).secs();
+                t.float_gauge(&dev(g, "overlap_ratio")).set(busy / span);
+            }
+        }
+        if report.recombine == RecombineStrategy::PeerExchange {
+            crate::exchange::note_exchange(t, report);
+        }
+        if out_of_core {
+            crate::ooc::note_ooc(t, report, merge_overlap);
+        }
     }
 }
 
@@ -615,8 +820,6 @@ impl Clone for ShardedSorter {
             pool: self.pool.clone(),
             template: self.template.clone(),
             merge_threads: self.merge_threads,
-            partition: self.partition.clone(),
-            chunks_per_shard: self.chunks_per_shard,
             ooc: self.ooc.clone(),
             host_exec: self.host_exec,
             lanes: Mutex::new(Vec::new()),
@@ -626,6 +829,143 @@ impl Clone for ShardedSorter {
             faults: self.faults.clone(),
             recovery: self.recovery.clone(),
             recombine: self.recombine,
+        }
+    }
+}
+
+/// Each request's span of a concatenated batch of `total` elements;
+/// panics unless the lengths cover the batch exactly.
+fn request_spans(total: usize, request_lens: &[usize]) -> Vec<RequestSpan> {
+    assert_eq!(
+        request_lens.iter().sum::<usize>(),
+        total,
+        "request lengths must cover the whole batch"
+    );
+    let mut offset = 0u64;
+    request_lens
+        .iter()
+        .enumerate()
+        .map(|(index, &len)| {
+            let span = RequestSpan {
+                index,
+                offset,
+                len: len as u64,
+            };
+            offset += len as u64;
+            span
+        })
+        .collect()
+}
+
+/// One report standing for several units: a lone unit's report verbatim,
+/// otherwise their fleet-style absorption.
+pub(crate) fn merged_report<'a>(reports: impl Iterator<Item = &'a SortReport>) -> SortReport {
+    let reports: Vec<&SortReport> = reports.collect();
+    match reports[..] {
+        [one] => one.clone(),
+        _ => {
+            let mut all = SortReport::new(0, 0, 0);
+            for r in reports {
+                all.absorb(r);
+            }
+            all
+        }
+    }
+}
+
+/// Hands `units` back to the pending elements of the next round.
+fn requeue<K, V>(pending: &mut (Vec<K>, Vec<V>), units: impl Iterator<Item = Unit<K, V>>) {
+    for u in units {
+        requeue_one(pending, u.keys, u.vals);
+    }
+}
+
+fn requeue_one<K, V>(pending: &mut (Vec<K>, Vec<V>), mut keys: Vec<K>, mut vals: Vec<V>) {
+    pending.0.append(&mut keys);
+    pending.1.append(&mut vals);
+}
+
+/// One unit of work: a whole shard in core, one chunk of it out of core.
+pub(crate) struct Unit<K, V> {
+    pub(crate) device: usize,
+    /// Index of the unit within its shard, in stream order.
+    chunk: usize,
+    /// Offset of the unit's first element within its shard.
+    offset: u64,
+    pub(crate) keys: Vec<K>,
+    pub(crate) vals: Vec<V>,
+    pub(crate) report: SortReport,
+    measured: Duration,
+    /// When the sorted run is ready on the timeline: downloaded, or —
+    /// when it leaves through the peer exchange — sorted on the device.
+    pub(crate) ready: SimTime,
+}
+
+/// One device's share of one round.
+struct Shard<K, V> {
+    device: usize,
+    /// The radix range the round's splitters gave the device.
+    range: (u64, u64),
+    /// Elements the partition handed the device.
+    partitioned: usize,
+    /// Transfer-time multiplier from injected stalls (1.0 = clean).
+    stall: f64,
+    units: Vec<Unit<K, V>>,
+}
+
+impl<K: SortKey, V: SortValue> Shard<K, V> {
+    fn sort_units(&mut self, lane: &HybridRadixSorter) {
+        for u in &mut self.units {
+            let start = Instant::now();
+            u.report = lane.sort_pairs(&mut u.keys, &mut u.vals);
+            u.measured = start.elapsed();
+        }
+    }
+}
+
+/// Everything the rounds accumulate for the recombination step.
+pub(crate) struct Rounds<K, V> {
+    pub(crate) out_of_core: bool,
+    pub(crate) peer: bool,
+    pub(crate) elem_bytes: u64,
+    pub(crate) tl: Timeline,
+    /// Every device's HtD / GPU / DtH resources on the shared timeline.
+    pub(crate) res: Vec<PipelineResources>,
+    /// Every sorted unit, in (round, device, unit) order.
+    pub(crate) runs: Vec<Unit<K, V>>,
+    /// One report per scheduled shard, with its device.
+    pub(crate) shards: Vec<(usize, ShardReport)>,
+    pub(crate) ooc_chunks: Vec<OocChunkSpan>,
+    pub(crate) events: Vec<FaultEvent>,
+    /// Elements each device moved over its host link.
+    pub(crate) moved: Vec<u64>,
+    /// Per-device stall of the exchange legs (1.0 = clean).
+    pub(crate) xstall: Vec<f64>,
+    /// Round 0's splitters and the devices its shards went to.
+    pub(crate) first: Option<(SplitterSet, Vec<usize>)>,
+    pub(crate) measured_partition: Duration,
+}
+
+impl<K, V> Rounds<K, V> {
+    fn new(p: usize, out_of_core: bool, peer: bool, elem_bytes: u64) -> Self {
+        let mut tl = Timeline::new();
+        let res = (0..p)
+            .map(|g| PipelineResources::register(&mut tl, &format!("dev{g} ")))
+            .collect();
+        Rounds {
+            out_of_core,
+            peer,
+            elem_bytes,
+            tl,
+            res,
+            runs: Vec::new(),
+            shards: Vec::new(),
+            ooc_chunks: Vec::new(),
+            events: Vec::new(),
+            moved: vec![0; p],
+            xstall: vec![1.0; p],
+            first: None,
+            measured_partition: Duration::ZERO,
         }
     }
 }
@@ -794,8 +1134,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "cover the whole batch")]
     fn batch_entry_rejects_mismatched_lens() {
-        let mut keys = uniform_keys::<u64>(1_000, 23);
-        test_sorter(2).sort_batch(&mut keys, &[400, 400]);
+        let original = uniform_keys::<u64>(1_000, 23);
+        let mut keys = original.clone();
+        let sorter = test_sorter(2);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sorter.sort_batch(&mut keys, &[400, 400]);
+        }));
+        // The lengths are checked before any work: the caller's keys come
+        // back untouched, neither sorted nor moved out.
+        assert_eq!(keys, original, "a rejected batch must not touch the keys");
+        if let Err(panic) = caught {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Fault-tolerant execution of sharded sorts: detection, requeue, retry.
+//! Fault tolerance of the round loop: detection, requeue, retry.
 //!
-//! The clean engine paths ([`ShardedSorter::sort`], `sort_out_of_core`, …)
-//! assume every device completes its schedule — the same assumption the
-//! paper's Section 5 pipeline makes.  Production fleets break it: devices
-//! die mid-sort, links stall, a shard occasionally comes back corrupt.
-//! This module adds the recovery loop those paths fall back to whenever an
-//! injected [`gpu_sim::FaultPlan`] is armed or a pool device has already
-//! been marked dead:
+//! The paper's Section 5 pipeline assumes every device completes its
+//! schedule.  Production fleets break that assumption: devices die
+//! mid-sort, links stall, a shard occasionally comes back corrupt.  The
+//! engine's round loop ([`crate::engine`]) absorbs these faults, driven
+//! by an injected [`gpu_sim::FaultPlan`]:
 //!
-//! 1. **Partition over the survivors.**  Splitters are recomputed from the
-//!    *alive* devices' capacity weights each round (elastic pool resize),
-//!    so local shard `l` maps to global device `alive[l]` and dead devices
-//!    take no work.
-//! 2. **Sort unit-by-unit, consulting the fault plan.**  A unit of work is
-//!    one shard (in-core) or one memory-budget chunk (out-of-core).  A
+//! 1. **Partition over the survivors.**  Every round computes its
+//!    splitters from the *alive* devices' capacity weights (elastic pool
+//!    resize), so local shard `l` maps to global device `alive[l]` and dead
+//!    devices take no work.
+//! 2. **Consult the plan once per unit.**  A unit of work is one shard (in
+//!    core) or one memory-budget chunk (out of core); the peer exchange
+//!    consults each device once more after its local sort, so op 0 of a
+//!    device faults its sort and op 1 faults it mid-exchange.  A
 //!    `DeviceFail` marks the device dead and requeues everything it still
 //!    owed; a `CorruptShard` requeues just that unit; a `TransferStall`
 //!    completes with degraded link time; an `EnginePanic` escapes (the
@@ -27,24 +27,16 @@
 //!    (unsorted, never lost, never corrupt).
 //!
 //! Every fault is recorded as a [`FaultEvent`] in
-//! [`ShardedReport::faults`] and counted under the `multi_gpu/faults/…`
-//! telemetry subtree, so dashboards see device failures, requeued volume,
-//! recovery latency and retries-per-sort live.
+//! [`crate::ShardedReport::faults`] and counted under the
+//! `multi_gpu/faults/…` telemetry subtree, so dashboards see device
+//! failures, requeued volume, recovery latency and retries-per-sort live.
 
-use crate::engine::{pair_key, ShardedSorter};
-use crate::partition::{compute_splitters, scatter_into_shards, SplitterSet};
-use crate::report::{
-    FaultEvent, FaultEventKind, OocChunkSpan, RequestSpan, ShardReport, ShardedReport,
-};
+use crate::engine::ShardedSorter;
+use crate::report::{FaultEvent, FaultEventKind};
 use crate::telemetry_paths as tp;
-use gpu_sim::{DeviceMemoryPlanner, FaultKind, SimTime, Timeline, TransferDirection};
-use hetero::chunking::split_into_chunks;
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
-use hrs_core::{HybridRadixSorter, SortReport};
-use std::time::{Duration, Instant};
+use gpu_sim::{FaultKind, SimTime};
+use std::time::Duration;
 use telemetry::Inspector;
-use workloads::keys::SortKey;
-use workloads::pairs::SortValue;
 
 /// Why a fault-tolerant sort could not complete.  The input buffers are
 /// always restored before one of these is returned — every element the
@@ -84,7 +76,7 @@ impl std::fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
-/// Retry/backoff policy of the fault-tolerant engine path.
+/// Retry/backoff policy of the round loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Requeue rounds allowed beyond the initial attempt before the sort
@@ -130,509 +122,45 @@ pub(crate) fn register_fault_probes(t: &Inspector) {
     t.counter(tp::OOC_RETRIES);
 }
 
-/// One successfully sorted unit of work awaiting the final merge.
-struct RecRun<K, V> {
-    device: usize,
-    round: u32,
-    range: (u64, u64),
-    keys: Vec<K>,
-    vals: Vec<V>,
-    report: SortReport,
-    measured: Duration,
-    /// Transfer-time multiplier from an injected stall (1.0 = clean).
-    stall: f64,
-}
-
 impl ShardedSorter {
-    /// Fallible counterpart of [`Self::sort`]: completes through the
-    /// recovery loop under an armed fault plan (or an already-degraded
-    /// pool), or returns a typed [`SortError`] with `keys` restored.
-    pub fn try_sort<K: SortKey>(&self, keys: &mut Vec<K>) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        self.dispatch_sort(keys, &mut values, false)
-    }
-
-    /// Fallible counterpart of [`Self::sort_pairs`].
-    pub fn try_sort_pairs<K: SortKey, V: SortValue>(
+    /// Consults the fault plan for device `g`'s next op on `len` elements
+    /// in `round`, recording any fault in `events`.  Returns the transfer
+    /// stall factor the op runs with (1.0 when clean), or `None` when the
+    /// op's elements must be requeued (the device died — it is marked dead
+    /// in the pool — or returned them corrupt).  An injected engine panic
+    /// escapes.
+    pub(crate) fn next_fault(
         &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        self.dispatch_sort(keys, values, false)
-    }
-
-    /// Fallible counterpart of [`Self::sort_batch`].
-    pub fn try_sort_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        let mut report = self.dispatch_sort(keys, &mut values, false)?;
-        report.requests = Self::request_spans(keys.len(), request_lens);
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_batch_pairs`].
-    pub fn try_sort_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        let mut report = self.dispatch_sort(keys, values, false)?;
-        report.requests = Self::request_spans(keys.len(), request_lens);
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core`].
-    pub fn try_sort_out_of_core<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-    ) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        self.dispatch_sort(keys, &mut values, true)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_pairs`].
-    pub fn try_sort_out_of_core_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        self.dispatch_sort(keys, values, true)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch`].
-    pub fn try_sort_out_of_core_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-    ) -> Result<ShardedReport, SortError> {
-        let len = keys.len() as u64;
-        let mut report = self.try_sort_out_of_core(keys)?;
-        report.requests = vec![RequestSpan {
-            index: 0,
-            offset: 0,
-            len,
-        }];
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch_pairs`].
-    pub fn try_sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        let len = keys.len() as u64;
-        let mut report = self.try_sort_out_of_core_pairs(keys, values)?;
-        report.requests = vec![RequestSpan {
-            index: 0,
-            offset: 0,
-            len,
-        }];
-        Ok(report)
-    }
-
-    /// Routes a sort to the clean fast path or the recovery loop, and —
-    /// per the resolved [`crate::RecombineStrategy`] — to the host-merge
-    /// or peer-exchange recombination.  The fast paths run byte-identically
-    /// to the pre-fault-tolerance engine; the recovery loops take over only
-    /// while a fault plan has unfired specs or a device is dead (dead
-    /// devices would violate the positive-weight contract of the fast-path
-    /// partitioner).  Out-of-core sorts always recombine on the host:
-    /// their chunk-streamed tail merge overlaps the chunk stream instead.
-    fn dispatch_sort<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        out_of_core: bool,
-    ) -> Result<ShardedReport, SortError> {
-        let elem_bytes = K::BYTES as u64 + std::mem::size_of::<V>() as u64;
-        let peer = !out_of_core
-            && self.resolve_recombine(keys.len() as u64 * elem_bytes)
-                == crate::RecombineStrategy::PeerExchange;
-        if self.fault_path_active() {
-            if peer {
-                self.sort_exchange_recoverable(keys, values)
-            } else {
-                self.sort_recoverable(keys, values, out_of_core)
+        g: usize,
+        round: u32,
+        len: usize,
+        events: &mut Vec<FaultEvent>,
+    ) -> Option<f64> {
+        let (kind, outcome) = match self.faults.as_ref().and_then(|plan| plan.next_op(g)) {
+            None => return Some(1.0),
+            Some(FaultKind::EnginePanic) => panic!("injected engine panic on device {g}"),
+            Some(FaultKind::DeviceFail) => {
+                self.pool.mark_dead(g);
+                (FaultEventKind::DeviceFailure, None)
             }
-        } else if out_of_core {
-            Ok(self.sort_ooc_impl(keys, values))
-        } else if peer {
-            Ok(self.sort_exchange_impl(keys, values))
-        } else {
-            Ok(self.sort_impl(keys, values))
-        }
-    }
-
-    /// The recovery loop (see the module docs for the algorithm).
-    fn sort_recoverable<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        out_of_core: bool,
-    ) -> Result<ShardedReport, SortError> {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-        let recovery_clock = Instant::now();
-        let p = self.pool.len();
-
-        // Device lanes, with the same try_lock / ephemeral-fallback
-        // contract as the clean paths.
-        let mut fallback: Option<Vec<HybridRadixSorter>> = None;
-        let mut guard = self.lanes.try_lock().ok();
-        let lanes: &mut Vec<HybridRadixSorter> = match guard.as_deref_mut() {
-            Some(lanes) => lanes,
-            None => fallback.get_or_insert_with(Vec::new),
-        };
-        if lanes.len() != p {
-            *lanes = (0..p).map(|i| self.lane_sorter(i)).collect();
-        }
-        let lanes: &[HybridRadixSorter] = lanes;
-
-        let mut pending_keys = std::mem::take(keys);
-        let mut pending_vals = std::mem::take(values);
-        let mut measured_partition = Duration::ZERO;
-        let mut runs: Vec<RecRun<K, V>> = Vec::new();
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let mut report_splitters: Option<SplitterSet> = None;
-        let mut round: u32 = 0;
-
-        let failure = loop {
-            if pending_keys.is_empty() {
-                break None;
-            }
-            let alive = self.pool.alive_indices();
-            if alive.is_empty() {
-                break Some(SortError::AllDevicesDead { failed: p });
-            }
-            if round > self.recovery.max_retries {
-                break Some(SortError::RetriesExhausted {
-                    retries: self.recovery.max_retries,
-                    unsorted: pending_keys.len() as u64,
-                });
-            }
-
-            // Elastic resize: partition over the survivors only, so the
-            // splitter weights stay positive and local shard `l` maps to
-            // global device `alive[l]`.
-            let span = self
-                .inspector
-                .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-            let weights: Vec<f64> = alive
-                .iter()
-                .map(|&g| self.pool.devices()[g].capacity_weight())
-                .collect();
-            let splitters = compute_splitters(&pending_keys, &weights, &self.partition);
-            let (shard_keys, shard_vals) = scatter_into_shards(
-                &mut pending_keys,
-                &mut pending_vals,
-                &splitters,
-                &self.host_exec,
-            );
-            measured_partition += span.finish();
-            let ranges = splitters.ranges();
-            if report_splitters.is_none() {
-                report_splitters = Some(splitters.clone());
-            }
-            // The scatter copied every element into shard buffers; pending
-            // now collects whatever this round's faults hand back.
-            pending_keys.clear();
-            pending_vals.clear();
-
-            for (l, (mut ks, mut vs)) in shard_keys.into_iter().zip(shard_vals).enumerate() {
-                let g = alive[l];
-                if ks.is_empty() {
-                    continue;
-                }
-                if !self.pool.alive(g) {
-                    // Died since alive_indices() (a concurrent sort sharing
-                    // this pool): requeue the whole shard untouched.
-                    pending_keys.append(&mut ks);
-                    pending_vals.append(&mut vs);
-                    continue;
-                }
-
-                // Carve the shard into its units of work: memory-budget
-                // chunks out of core, the whole shard in core.
-                let chunk_count = if out_of_core {
-                    let dev = &self.pool.devices()[g];
-                    self.ooc.chunks_per_device.unwrap_or_else(|| {
-                        let budget = DeviceMemoryPlanner::for_device(&dev.spec)
-                            .chunk_budget_bytes(self.ooc.in_place_replacement)
-                            .max(1);
-                        (ks.len() as u64 * elem_bytes).div_ceil(budget).max(1) as usize
-                    })
-                } else {
-                    1
-                };
-                let chunk_ranges = split_into_chunks(ks.len(), chunk_count.max(1)).ranges;
-                let mut chunks: Vec<(Vec<K>, Vec<V>)> = Vec::with_capacity(chunk_ranges.len());
-                for &(start, _end) in chunk_ranges.iter().rev() {
-                    let cv = vs.split_off(start);
-                    let ck = ks.split_off(start);
-                    chunks.push((ck, cv));
-                }
-                chunks.reverse();
-
-                let mut device_dead = false;
-                for (mut ck, mut cv) in chunks {
-                    if device_dead {
-                        // Lost with the device; the failure event already
-                        // on the list absorbs the requeued volume.
-                        if let Some(ev) = events.last_mut() {
-                            ev.requeued += ck.len() as u64;
-                        }
-                        pending_keys.append(&mut ck);
-                        pending_vals.append(&mut cv);
-                        continue;
-                    }
-                    let injected = self.faults.as_ref().and_then(|plan| plan.next_op(g));
-                    let stall = match injected {
-                        Some(FaultKind::DeviceFail) => {
-                            self.pool.mark_dead(g);
-                            device_dead = true;
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::DeviceFailure,
-                                round,
-                                requeued: ck.len() as u64,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            pending_keys.append(&mut ck);
-                            pending_vals.append(&mut cv);
-                            continue;
-                        }
-                        Some(FaultKind::CorruptShard) => {
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::ShardCorruption,
-                                round,
-                                requeued: ck.len() as u64,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            pending_keys.append(&mut ck);
-                            pending_vals.append(&mut cv);
-                            continue;
-                        }
-                        Some(FaultKind::EnginePanic) => {
-                            panic!("injected engine panic on device {g}");
-                        }
-                        Some(FaultKind::TransferStall { factor }) => {
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::TransferStall,
-                                round,
-                                requeued: 0,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            factor.max(1.0)
-                        }
-                        None => 1.0,
-                    };
-                    let start = Instant::now();
-                    let report = lanes[g].sort_pairs(&mut ck, &mut cv);
-                    runs.push(RecRun {
-                        device: g,
-                        round,
-                        range: ranges[l],
-                        keys: ck,
-                        vals: cv,
-                        report,
-                        measured: start.elapsed(),
-                        stall,
-                    });
-                }
-            }
-
-            if !pending_keys.is_empty() {
-                // This round's faults wait out an exponential simulated
-                // backoff before their requeue round starts.
-                let delay = self.recovery.backoff * 2f64.powi(round as i32);
-                for ev in events.iter_mut().filter(|e| e.round == round) {
-                    ev.backoff = delay;
-                }
-                round += 1;
+            Some(FaultKind::CorruptShard) => (FaultEventKind::ShardCorruption, None),
+            Some(FaultKind::TransferStall { factor }) => {
+                (FaultEventKind::TransferStall, Some(factor.max(1.0)))
             }
         };
-
-        if let Some(err) = failure {
-            // Restore every element — sorted runs and still-pending alike —
-            // so the caller's data survives the failure unsorted but whole.
-            for run in runs {
-                keys.extend(run.keys);
-                values.extend(run.vals);
-            }
-            keys.append(&mut pending_keys);
-            values.append(&mut pending_vals);
-            self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), out_of_core);
-            return Err(err);
-        }
-
-        // Success: schedule the recovery on a timeline (rounds separated by
-        // their backoff), merge every run, assemble the report.
-        let mut tl = Timeline::new();
-        let resources: Vec<_> = (0..p)
-            .map(|i| {
-                (
-                    tl.add_resource(format!("dev{i} HtD")),
-                    tl.add_resource(format!("dev{i} GPU")),
-                    tl.add_resource(format!("dev{i} DtH")),
-                )
-            })
-            .collect();
-        let max_round = runs.iter().map(|r| r.round).max().unwrap_or(0);
-        let mut round_start = SimTime::ZERO;
-        let mut shards: Vec<ShardReport> = Vec::with_capacity(runs.len());
-        let mut ooc_chunks: Vec<OocChunkSpan> = Vec::new();
-        let mut chunk_index = vec![0usize; p];
-        let mut chunk_offset = vec![0u64; p];
-        for r in 0..=max_round {
-            for run in runs.iter().filter(|run| run.round == r) {
-                let g = run.device;
-                let device = &self.pool.devices()[g];
-                let bytes = run.keys.len() as u64 * elem_bytes;
-                let (htod, gpu, dtoh) = resources[g];
-                let sort_total = if device.backend.is_measured() {
-                    SimTime::from_secs(run.measured.as_secs_f64())
-                } else {
-                    run.report.simulated.total
-                };
-                let up = tl.schedule(
-                    format!("HtD d{g} r{r}"),
-                    htod,
-                    round_start,
-                    device
-                        .link
-                        .transfer_time(TransferDirection::HostToDevice, bytes)
-                        * run.stall,
-                );
-                let sort = tl.schedule_after(format!("sort d{g} r{r}"), gpu, &[up.end], sort_total);
-                let down = tl.schedule_after(
-                    format!("DtH d{g} r{r}"),
-                    dtoh,
-                    &[sort.end],
-                    device
-                        .link
-                        .transfer_time(TransferDirection::DeviceToHost, bytes)
-                        * run.stall,
-                );
-                shards.push(ShardReport {
-                    device: device.spec.name.clone(),
-                    link: device.link.kind.label().to_string(),
-                    n: run.keys.len() as u64,
-                    range: run.range,
-                    report: run.report.clone(),
-                    upload: up.duration(),
-                    gpu_sort: sort.duration(),
-                    download: down.duration(),
-                    finish: down.end,
-                    measured_sort: device.backend.is_measured().then_some(run.measured),
-                });
-                if out_of_core {
-                    ooc_chunks.push(OocChunkSpan {
-                        device: g,
-                        chunk: chunk_index[g],
-                        offset: chunk_offset[g],
-                        len: run.keys.len() as u64,
-                        sort: sort.duration(),
-                        finish: down.end,
-                    });
-                    chunk_index[g] += 1;
-                    chunk_offset[g] += run.keys.len() as u64;
-                }
-            }
-            if r < max_round {
-                round_start = tl.makespan() + self.recovery.backoff * 2f64.powi(r as i32);
-            }
-        }
-        let critical_path = tl.makespan();
-
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        if !runs.is_empty() {
-            let zipped: Vec<Vec<(K, V)>> = runs
-                .iter()
-                .map(|r| r.keys.iter().copied().zip(r.vals.iter().copied()).collect())
-                .collect();
-            let refs: Vec<&[(K, V)]> = zipped.iter().map(|z| z.as_slice()).collect();
-            let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-            *keys = merged.iter().map(|&(k, _)| k).collect();
-            *values = merged.into_iter().map(|(_, v)| v).collect();
-        }
-        let measured_merge = merge_span.finish();
-
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for run in &runs {
-            combined.absorb(&run.report);
-        }
-        for ev in &mut events {
-            ev.recovered = true;
-        }
-
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-        let splitters =
-            report_splitters.unwrap_or_else(|| compute_splitters::<K>(&[], &[], &self.partition));
-
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(n as u64);
-        for run in &runs {
-            t.counter(&format!("multi_gpu/dev{}/transfer_bytes", run.device))
-                .add(2 * run.keys.len() as u64 * elem_bytes);
-        }
-        if out_of_core {
-            t.counter(tp::OOC_SORTS).inc();
-            t.counter(tp::OOC_CHUNKS).add(ooc_chunks.len() as u64);
-        }
-        self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), out_of_core);
-
-        Ok(ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline: tl,
-            requests: Vec::new(),
-            ooc_chunks,
-            faults: events,
-            recombine: crate::RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
-        })
+        events.push(FaultEvent {
+            device: g,
+            kind,
+            round,
+            requeued: if outcome.is_none() { len as u64 } else { 0 },
+            backoff: SimTime::ZERO,
+            recovered: false,
+        });
+        outcome
     }
 
-    /// Counts this recovery attempt's faults into the `multi_gpu/faults/…`
-    /// subtree (success and failure alike).
+    /// Counts one sort's faults into the `multi_gpu/faults/…` subtree
+    /// (success and failure alike).
     pub(crate) fn note_fault_outcomes(
         &self,
         events: &[FaultEvent],
@@ -644,9 +172,9 @@ impl ShardedSorter {
         register_fault_probes(t);
         for ev in events {
             let path = match ev.kind {
-                FaultEventKind::DeviceFailure => "multi_gpu/faults/device_failures",
-                FaultEventKind::ShardCorruption => "multi_gpu/faults/shard_corruptions",
-                FaultEventKind::TransferStall => "multi_gpu/faults/transfer_stalls",
+                FaultEventKind::DeviceFailure => tp::FAULT_DEVICE_FAILURES,
+                FaultEventKind::ShardCorruption => tp::FAULT_SHARD_CORRUPTIONS,
+                FaultEventKind::TransferStall => tp::FAULT_TRANSFER_STALLS,
             };
             t.counter(path).inc();
             t.counter(tp::FAULT_REQUEUED_ELEMENTS).add(ev.requeued);
@@ -667,7 +195,7 @@ mod tests {
     use super::*;
     use crate::device_pool::{DevicePool, SimDevice};
     use gpu_sim::{DeviceSpec, FaultPlan, FaultSpec};
-    use hrs_core::SortConfig;
+    use hrs_core::{HybridRadixSorter, SortConfig};
     use workloads::{uniform_keys, KeyCodec};
 
     fn test_sorter(pool: DevicePool) -> ShardedSorter {
@@ -719,8 +247,8 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        // The next sort still works on the two survivors (fast path is
-        // gated off forever: the pool has a dead device).
+        // The next sort still works on the two survivors (retry rounds stay
+        // possible forever: the pool has a dead device).
         assert!(sorter.fault_path_active());
         let mut again = uniform_keys::<u64>(30_000, 5);
         let expected2 = KeyCodec::std_sorted(&again);
@@ -742,7 +270,7 @@ mod tests {
         assert_eq!(report.faults.len(), 1);
         assert_eq!(report.faults[0].kind, FaultEventKind::ShardCorruption);
         assert!(report.faults[0].requeued > 0);
-        // The plan is exhausted and nobody died: back to the fast path.
+        // The plan is exhausted and nobody died: no more retry rounds.
         assert!(!sorter.fault_path_active());
         let mut again = uniform_keys::<u64>(20_000, 8);
         assert!(sorter.try_sort(&mut again).unwrap().faults.is_empty());
@@ -844,7 +372,7 @@ mod tests {
         let sorter = ShardedSorter::new(DevicePool::titan_cluster(3))
             .with_sorter(gpu)
             .with_fault_plan(FaultPlan::fail_device(2, 0));
-        let report = sorter.try_sort_pairs(&mut sorted, &mut vals).unwrap();
+        let report = sorter.sort_pairs(&mut sorted, &mut vals);
         assert!(workloads::pairs::verify_indexed_pair_sort(
             &keys, &sorted, &vals
         ));
@@ -887,7 +415,7 @@ mod tests {
         let mut k = uniform_keys::<u64>(30_000, 29);
         sorter.try_sort(&mut k).unwrap();
         assert!(!sorter.fault_path_active(), "plan fired, nobody died");
-        // Fast-path reports carry full per-device shard tables again.
+        // Fault-free reports carry one shard per device again.
         let mut k2 = uniform_keys::<u64>(30_000, 31);
         let report = sorter.try_sort(&mut k2).unwrap();
         assert_eq!(report.shards.len(), 2);

@@ -37,7 +37,7 @@ pub struct ShardReport {
 ///
 /// Produced by the batch-aware entry points
 /// ([`crate::ShardedSorter::sort_batch`] /
-/// [`crate::ShardedSorter::sort_batch_pairs`]) so that a batching front end
+/// [`crate::ShardedSorter::try_sort_batch_pairs`]) so that a batching front end
 /// (the `sort_service` crate) can hand every requester its own slice of the
 /// shared [`ShardedReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,8 +65,8 @@ impl RequestSpan {
 /// which slice of that device's shard it covered, and how it fared on the
 /// shared pipeline timeline.
 ///
-/// Produced by [`crate::ShardedSorter::sort_out_of_core`] /
-/// [`crate::ShardedSorter::sort_out_of_core_pairs`]; the service's
+/// Produced by [`crate::ShardedSorter::sort_out_of_core`] and its
+/// fallible variants; the service's
 /// over-budget lane surfaces these spans to requesters through the shared
 /// [`ShardedReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -148,8 +148,8 @@ impl FaultEventKind {
 
 /// One fault the engine hit during a sort, and how recovery handled it.
 ///
-/// Recorded by the fault-tolerant engine path (see
-/// [`crate::ShardedSorter::try_sort`] and friends) in
+/// Recorded by the engine's round loop (see
+/// [`crate::ShardedSorter::try_sort`] and the other entry points) in
 /// [`ShardedReport::faults`]: each event names the device, the retry round
 /// it happened in, how many elements had to be requeued onto the surviving
 /// devices, and the simulated backoff the requeue waited out.

@@ -23,7 +23,7 @@
 //!   in flight, [`SortService::submit`] returns
 //!   [`SubmitError::Saturated`] instead of queueing unboundedly;
 //! * each batch runs as **one** sharded sort
-//!   ([`multi_gpu::ShardedSorter::sort_batch_pairs`]) with every key tagged
+//!   ([`multi_gpu::ShardedSorter::try_sort_batch_pairs`]) with every key tagged
 //!   by its request slot, and the worker demultiplexes the globally sorted
 //!   output back into each request's own buffers — in place, with no
 //!   steady-state allocation (batch assembly buffers and the per-device
