@@ -93,19 +93,6 @@ pub struct ChunkStream {
     pub stall: f64,
 }
 
-impl ChunkStream {
-    /// A stream from time zero through `slots` chunk slots, every run
-    /// returning over a healthy link.
-    pub fn slotted(slots: usize) -> Self {
-        ChunkStream {
-            start: SimTime::ZERO,
-            slots: Some(slots),
-            download: true,
-            stall: 1.0,
-        }
-    }
-}
-
 /// The resolved pipeline schedule.
 #[derive(Debug, Clone)]
 pub struct PipelineSchedule {
@@ -132,7 +119,12 @@ impl PipelineSchedule {
             dtoh: timeline.add_resource("PCIe DtH"),
         };
         let link: LinkSpec = config.bus.into();
-        let stream = ChunkStream::slotted(if config.in_place_replacement { 3 } else { 4 });
+        let stream = ChunkStream {
+            start: SimTime::ZERO,
+            slots: Some(if config.in_place_replacement { 3 } else { 4 }),
+            download: true,
+            stall: 1.0,
+        };
         let (mut breakdown, _chunk_finishes) = PipelineSchedule::schedule_chunks_on(
             &mut timeline,
             &resources,

@@ -399,7 +399,11 @@ impl ShardedSorter {
                     }
                     match self.next_fault(shard.device, round, len, &mut r.events) {
                         Some(f) => r.xstall[shard.device] = r.xstall[shard.device].max(f),
-                        None => requeue(&mut pending, shard.units.drain(..)),
+                        None => {
+                            for u in shard.units.drain(..) {
+                                requeue(&mut pending, u.keys, u.vals);
+                            }
+                        }
                     }
                 }
             }
@@ -427,43 +431,40 @@ impl ShardedSorter {
         if let Some(err) = failure {
             // Restore every element — sorted runs and still-pending alike —
             // so the caller's data survives the failure unsorted but whole.
-            requeue(&mut pending, r.runs.drain(..));
+            for run in r.runs.drain(..) {
+                requeue(&mut pending, run.keys, run.vals);
+            }
             (*keys, *values) = pending;
             self.note_fault_outcomes(&r.events, round, clock.elapsed(), out_of_core);
             return Err(err);
         }
         drop(pending);
 
-        let (exchange, dest_out, orphans) = if peer {
+        let (exchange, outputs, tiled) = if peer {
             self.exchange(&mut r)
         } else {
-            Default::default()
+            (Vec::new(), Vec::new(), false)
         };
         let critical_path = r.tl.makespan();
 
-        // The host step (measured): the p-way merge of every finished run —
-        // or, after the exchange, the concatenation of the destinations'
-        // output ranges, which tile the key space in order unless orphan
-        // buckets overlap them.
+        // The host step (measured): the p-way merge of every finished run,
+        // or of the exchange's output runs — which merely concatenate when
+        // they tile the key space in order.
         let merge_span = self
             .inspector
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        let outputs: Vec<(&[K], &[V])> = if peer {
-            let dests = dest_out.iter().map(|(k, v)| (&k[..], &v[..]));
-            let stray = orphans
-                .iter()
-                .map(|&(i, lo, hi)| (&r.runs[i].keys[lo..hi], &r.runs[i].vals[lo..hi]));
-            dests.chain(stray).collect()
+        let runs: Vec<(&[K], &[V])> = if peer {
+            outputs.iter().map(|(k, v)| (&k[..], &v[..])).collect()
         } else {
             r.runs.iter().map(|u| (&u.keys[..], &u.vals[..])).collect()
         };
-        (*keys, *values) = if peer && orphans.is_empty() {
+        (*keys, *values) = if tiled {
             (
-                outputs.iter().flat_map(|o| o.0.iter().copied()).collect(),
-                outputs.iter().flat_map(|o| o.1.iter().copied()).collect(),
+                runs.iter().flat_map(|run| run.0.iter().copied()).collect(),
+                runs.iter().flat_map(|run| run.1.iter().copied()).collect(),
             )
         } else {
-            self.merge_runs(&outputs)
+            self.merge_runs(&runs)
         };
         let measured_merge = merge_span.finish();
 
@@ -526,7 +527,7 @@ impl ShardedSorter {
     fn partition_round<K: SortKey, V: SortValue>(
         &self,
         r: &mut Rounds<K, V>,
-        pending: &mut (Vec<K>, Vec<V>),
+        pending: &mut Elements<K, V>,
         alive: &[usize],
         round: u32,
     ) -> Vec<Shard<K, V>> {
@@ -560,7 +561,7 @@ impl ShardedSorter {
             if !self.pool.alive(g) {
                 // Died since alive_indices() (a concurrent sort sharing this
                 // pool): requeue the whole shard untouched.
-                requeue_one(pending, ks, vs);
+                requeue(pending, ks, vs);
                 continue;
             }
             let plan = if r.out_of_core {
@@ -615,7 +616,7 @@ impl ShardedSorter {
                     }
                     None => {
                         dead = !self.pool.alive(g);
-                        requeue_one(pending, ck, cv);
+                        requeue(pending, ck, cv);
                     }
                 }
             }
@@ -681,8 +682,8 @@ impl ShardedSorter {
         };
         let eb = r.elem_bytes;
         let (bytes, sorts): (Vec<u64>, Vec<SimTime>) = if r.out_of_core {
-            let bytes = |u: &Unit<K, V>| u.keys.len() as u64 * eb;
-            shard.units.iter().map(|u| (bytes(u), sort_time(u))).unzip()
+            let chunk = |u: &Unit<K, V>| (u.keys.len() as u64 * eb, sort_time(u));
+            shard.units.iter().map(chunk).unzip()
         } else {
             shard
                 .units
@@ -873,14 +874,11 @@ pub(crate) fn merged_report<'a>(reports: impl Iterator<Item = &'a SortReport>) -
     }
 }
 
-/// Hands `units` back to the pending elements of the next round.
-fn requeue<K, V>(pending: &mut (Vec<K>, Vec<V>), units: impl Iterator<Item = Unit<K, V>>) {
-    for u in units {
-        requeue_one(pending, u.keys, u.vals);
-    }
-}
+/// Keys and their values, index-aligned.
+pub(crate) type Elements<K, V> = (Vec<K>, Vec<V>);
 
-fn requeue_one<K, V>(pending: &mut (Vec<K>, Vec<V>), mut keys: Vec<K>, mut vals: Vec<V>) {
+/// Hands elements back to the pending set of the next round.
+fn requeue<K, V>(pending: &mut Elements<K, V>, mut keys: Vec<K>, mut vals: Vec<V>) {
     pending.0.append(&mut keys);
     pending.1.append(&mut vals);
 }

@@ -45,7 +45,7 @@
 //! real p-way merge that stitches the overlapping ranges back together.
 
 use crate::device_pool::DevicePool;
-use crate::engine::{merged_report, Rounds, ShardedSorter};
+use crate::engine::{merged_report, Elements, Rounds, ShardedSorter};
 use crate::report::{ExchangeSpan, ShardReport, ShardedReport};
 use crate::telemetry_paths as tp;
 use gpu_sim::{LinkSpec, SimTime, TransferDirection};
@@ -260,19 +260,15 @@ impl ShardedSorter {
     /// destination's output range (functionally on the host, measured
     /// into the exchange histogram) and schedules its merge and download,
     /// replacing the rounds' slab reports with one report per output
-    /// range.  Returns the exchange spans, the merged output ranges in
-    /// destination order, and the orphan buckets as `(run, lo, hi)`.
+    /// range.  Returns the exchange spans, the output runs — the merged
+    /// ranges in destination order, then any orphan buckets — and whether
+    /// they tile the key space in order (no orphans).
     /// Every event label but the local sorts' lacks `sort` —
     /// [`ShardedReport::last_sort_finish`] relies on that discipline.
-    #[allow(clippy::type_complexity)]
     pub(crate) fn exchange<K: SortKey, V: SortValue>(
         &self,
         r: &mut Rounds<K, V>,
-    ) -> (
-        Vec<ExchangeSpan>,
-        Vec<(Vec<K>, Vec<V>)>,
-        Vec<(usize, usize, usize)>,
-    ) {
+    ) -> (Vec<ExchangeSpan>, Vec<Elements<K, V>>, bool) {
         let (splitters, dests) = r.first.as_ref().expect("round 0 always partitions");
         let ranges = splitters.ranges();
         let topo = self.pool.peer_topology();
@@ -323,7 +319,7 @@ impl ShardedSorter {
                         measured_sort: None,
                     };
                     shards.push((g, report));
-                    orphans.push((i, lo, hi));
+                    orphans.push((run.keys[lo..hi].to_vec(), run.vals[lo..hi].to_vec()));
                     continue;
                 }
                 let (start, end, direct) = if let Some(t) = topo.direct_transfer_time(g, dst, bytes)
@@ -449,7 +445,9 @@ impl ShardedSorter {
             shards.push((g, report));
         }
         r.shards = shards;
-        (exchange, outputs, orphans)
+        let tiled = orphans.is_empty();
+        outputs.extend(orphans);
+        (exchange, outputs, tiled)
     }
 }
 

@@ -182,7 +182,9 @@ pub struct ShardedReport {
     pub key_bytes: u32,
     /// Value width in bytes (0 for key-only sorts).
     pub value_bytes: u32,
-    /// Per-device shard reports, in shard (key-range) order.
+    /// Per-device shard reports.  A fault-free sort has one per device,
+    /// in shard (key-range) order; each retry round appends the shards it
+    /// sorted, and orphan buckets of a peer exchange get their own.
     pub shards: Vec<ShardReport>,
     /// The splitters that defined the shards.
     pub splitters: SplitterSet,
