@@ -16,11 +16,10 @@
 //! The first two are *synergistic*: disabling both is far worse than the
 //! product of the individual slowdowns.
 //!
-//! Beyond the paper's ablation set, two CPU-side raw-speed toggles control
-//! the hot loop of the real-thread backend (Wassenberg & Sanders' software
-//! write-combining, and phase-overlapped pass scheduling): both default on,
-//! and turning them off restores the unfused direct-scatter path that
-//! serves as the equivalence baseline of the staged-scatter proptests.
+//! The CPU scatter's software write-combining (Wassenberg & Sanders) is
+//! not a toggle: it follows from the configuration.  It stages whenever a
+//! line of [`crate::SortConfig::scatter_line_bytes`] holds at least two
+//! keys, and otherwise writes each key directly.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,16 +36,6 @@ pub struct Optimizations {
     pub lookahead: bool,
     /// Use the register-level thread reduction for the histogram.
     pub thread_reduction_histogram: bool,
-    /// Stage scatter writes per digit value in cache-line-sized software
-    /// write-combining buffers and flush full lines with one contiguous
-    /// copy (see [`crate::SortConfig::scatter_line_bytes`]).  Off restores
-    /// the per-key direct scatter.
-    pub staged_scatter: bool,
-    /// Overlap each pass's scatter with the next pass's histograms: a
-    /// worker that finishes the last scatter block of a bucket immediately
-    /// histograms that bucket's freshly written sub-buckets for pass k+1.
-    /// Off restores the strictly phase-ordered pass loop.
-    pub phase_overlap: bool,
 }
 
 impl Optimizations {
@@ -57,8 +46,6 @@ impl Optimizations {
             multiple_local_sort_configs: true,
             lookahead: true,
             thread_reduction_histogram: true,
-            staged_scatter: true,
-            phase_overlap: true,
         }
     }
 
@@ -69,8 +56,6 @@ impl Optimizations {
             multiple_local_sort_configs: false,
             lookahead: false,
             thread_reduction_histogram: false,
-            staged_scatter: false,
-            phase_overlap: false,
         }
     }
 
@@ -116,34 +101,6 @@ impl Optimizations {
         }
     }
 
-    /// Direct per-key scatter: software write-combining disabled.
-    pub fn no_staged_scatter() -> Self {
-        Optimizations {
-            staged_scatter: false,
-            ..Optimizations::all_on()
-        }
-    }
-
-    /// Strictly phase-ordered passes: scatter/histogram overlap disabled.
-    pub fn no_phase_overlap() -> Self {
-        Optimizations {
-            phase_overlap: false,
-            ..Optimizations::all_on()
-        }
-    }
-
-    /// The wall-clock A/B baseline: the direct-scatter, phase-ordered hot
-    /// loop with the paper's algorithmic optimisations still on.  This is
-    /// the "unstaged" column of `bench_wallclock` and the reference side of
-    /// the staged-scatter equivalence proptests.
-    pub fn unstaged_baseline() -> Self {
-        Optimizations {
-            staged_scatter: false,
-            phase_overlap: false,
-            ..Optimizations::all_on()
-        }
-    }
-
     /// The named ablation variants evaluated in Figures 11–14, in the order
     /// they appear in the paper's legend.
     pub fn ablation_variants() -> Vec<(&'static str, Optimizations)> {
@@ -181,8 +138,6 @@ mod tests {
         assert!(o.multiple_local_sort_configs);
         assert!(o.lookahead);
         assert!(o.thread_reduction_histogram);
-        assert!(o.staged_scatter);
-        assert!(o.phase_overlap);
         assert_eq!(o, Optimizations::all_on());
     }
 
@@ -207,20 +162,5 @@ mod tests {
         assert!(!o.multiple_local_sort_configs);
         assert!(!o.lookahead);
         assert!(!o.thread_reduction_histogram);
-        assert!(!o.staged_scatter);
-        assert!(!o.phase_overlap);
-    }
-
-    #[test]
-    fn hot_loop_toggles_leave_paper_ablations_intact() {
-        let s = Optimizations::no_staged_scatter();
-        assert!(!s.staged_scatter && s.phase_overlap && s.bucket_merging);
-        let o = Optimizations::no_phase_overlap();
-        assert!(o.staged_scatter && !o.phase_overlap && o.lookahead);
-        let b = Optimizations::unstaged_baseline();
-        assert!(!b.staged_scatter && !b.phase_overlap);
-        assert!(b.bucket_merging && b.multiple_local_sort_configs);
-        // The paper's legend stays exactly six entries long.
-        assert_eq!(Optimizations::ablation_variants().len(), 6);
     }
 }

@@ -19,26 +19,9 @@
 //! when the block's histogram reveals enough skew, because for well-spread
 //! distributions the extra comparisons are wasted work.
 
-use crate::bucket::Bucket;
 use crate::digit::digit_of;
 use crate::exec::SharedMut;
-use crate::histogram::BlockHistogram;
 use workloads::SortKey;
-
-/// Statistics of scattering one bucket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScatterOutcome {
-    /// Shared-memory atomic updates issued while staging the keys (after
-    /// look-ahead combining for blocks where it was active).
-    pub shared_updates: u64,
-    /// Sum over all blocks of the number of occupied sub-buckets (used to
-    /// derive the average scatter transaction efficiency).
-    pub occupied_sub_buckets_sum: u64,
-    /// Number of blocks for which the look-ahead was active.
-    pub lookahead_active_blocks: u64,
-    /// Number of blocks scattered.
-    pub blocks: u64,
-}
 
 /// Parameters of the scatter shared by all blocks of a pass.
 #[derive(Debug, Clone, Copy)]
@@ -60,78 +43,6 @@ pub struct ScatterParams {
     /// Minimum max-bin fraction of a block's histogram for the look-ahead
     /// to be switched on for that block.
     pub skew_threshold: f64,
-}
-
-/// Scatters one bucket's keys (and values) from `src` into `dst` according
-/// to the per-block histograms and the bucket-wide exclusive prefix sum.
-///
-/// `src_keys`/`dst_keys` (and the value buffers) are the *full* double
-/// buffers; the bucket's keys live at `bucket.offset .. bucket.end()` in
-/// `src_keys` and its sub-buckets are written to the same range of
-/// `dst_keys`.
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_bucket<K: SortKey, V: Copy>(
-    src_keys: &[K],
-    dst_keys: &mut [K],
-    src_vals: &[V],
-    dst_vals: &mut [V],
-    bucket: &Bucket,
-    block_hists: &[BlockHistogram],
-    bucket_prefix: &[usize],
-    params: &ScatterParams,
-) -> ScatterOutcome {
-    let mut outcome = ScatterOutcome::default();
-    let mut running = vec![0usize; params.radix];
-    let mut base = vec![0usize; params.radix];
-    let mut local_offsets = vec![0usize; params.radix];
-
-    let bucket_keys = &src_keys[bucket.offset..bucket.end()];
-    let bucket_vals = &src_vals[bucket.offset..bucket.end()];
-
-    for (block_idx, block) in bucket_keys.chunks(params.keys_per_block).enumerate() {
-        let hist = &block_hists[block_idx];
-        let block_start = block_idx * params.keys_per_block;
-
-        // Chunk reservation: one atomicAdd per occupied sub-bucket reads the
-        // current write cursor and advances it by the block's count.
-        for d in 0..params.radix {
-            base[d] = bucket.offset + bucket_prefix[d] + running[d];
-            local_offsets[d] = 0;
-        }
-
-        // Decide whether the look-ahead is worthwhile for this block (the
-        // block histogram is already available from the histogram kernel).
-        let lookahead_active =
-            params.lookahead_enabled && hist.max_bin_fraction() >= params.skew_threshold;
-        if lookahead_active {
-            outcome.lookahead_active_blocks += 1;
-        }
-
-        // Stage the keys (and values) into the sub-buckets.  Functionally we
-        // write straight to the destination positions; the shared-memory
-        // staging is reflected in the atomic-update statistics.
-        for (i, key) in block.iter().enumerate() {
-            let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
-            let pos = base[d] + local_offsets[d];
-            local_offsets[d] += 1;
-            dst_keys[pos] = *key;
-            dst_vals[pos] = bucket_vals[block_start + i];
-        }
-
-        // Count the shared-memory atomics the staging would issue.
-        outcome.shared_updates += if lookahead_active {
-            count_combined_writes::<K>(block, params)
-        } else {
-            block.len() as u64
-        };
-        outcome.occupied_sub_buckets_sum += hist.distinct_values as u64;
-        outcome.blocks += 1;
-
-        for (r, &count) in running.iter_mut().zip(hist.counts.iter()) {
-            *r += count as usize;
-        }
-    }
-    outcome
 }
 
 /// One worker's software write-combining staging area (Wassenberg &
@@ -268,7 +179,8 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             }
         }
         _ => {
-            // Direct per-key scatter: the unstaged equivalence baseline.
+            // Direct per-key scatter (a line holds a single key): the
+            // equivalence reference of the staged arm.
             for (i, key) in block_keys.iter().enumerate() {
                 let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
                 let pos = cursor[d];
@@ -297,23 +209,24 @@ pub fn scatter_block<K: SortKey, V: Copy>(
 
 /// Number of shared-memory writes after combining runs of up to
 /// `lookahead + 1` consecutive keys (within one thread's keys) that share a
-/// digit value.
+/// digit value.  Each key either extends the current run (same digit as the
+/// run's first key, run not yet full) or starts a new write.
 fn count_combined_writes<K: SortKey>(block: &[K], params: &ScatterParams) -> u64 {
     let window = params.lookahead as usize + 1;
     let mut writes = 0u64;
     for thread_keys in block.chunks(params.keys_per_thread.max(1)) {
-        let digits: Vec<usize> = thread_keys
-            .iter()
-            .map(|k| digit_of(k.to_radix(), K::BITS, params.digit_bits, params.pass))
-            .collect();
-        let mut i = 0;
-        while i < digits.len() {
-            let mut run = 1;
-            while run < window && i + run < digits.len() && digits[i + run] == digits[i] {
+        // Digits are below the radix, so `usize::MAX` never matches.
+        let mut run_digit = usize::MAX;
+        let mut run = 0usize;
+        for k in thread_keys {
+            let d = digit_of(k.to_radix(), K::BITS, params.digit_bits, params.pass);
+            if d == run_digit && run < window {
                 run += 1;
+            } else {
+                writes += 1;
+                run_digit = d;
+                run = 1;
             }
-            writes += 1;
-            i += run;
         }
     }
     writes
@@ -322,7 +235,8 @@ fn count_combined_writes<K: SortKey>(block: &[K], params: &ScatterParams) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::histogram::{aggregate_histograms, block_histogram};
+    use crate::bucket::Bucket;
+    use crate::histogram::{aggregate_histograms, block_histogram, BlockHistogram};
     use crate::prefix_sum::exclusive_prefix_sum_usize;
     use gpu_sim::HistogramStrategy;
     use workloads::{uniform_keys, EntropyLevel};
@@ -340,10 +254,20 @@ mod tests {
         }
     }
 
-    fn scatter_and_check(keys: Vec<u32>, p: ScatterParams) -> (Vec<u32>, ScatterOutcome) {
-        let n = keys.len();
-        let bucket = Bucket::root(n);
-        let block_hists: Vec<BlockHistogram> = keys
+    /// Scatters `bucket` of `src_keys` block by block through the direct
+    /// arm of [`scatter_block`], seeding every block's cursor the way a
+    /// counting pass does (bucket offset + bucket prefix + counts of earlier
+    /// blocks); returns the per-block outcomes.
+    fn scatter_bucket_blocks<V: Copy>(
+        src_keys: &[u32],
+        src_vals: &[V],
+        dst_keys: &mut [u32],
+        dst_vals: &mut [V],
+        bucket: &Bucket,
+        p: &ScatterParams,
+    ) -> Vec<BlockScatter> {
+        let keys = &src_keys[bucket.offset..bucket.end()];
+        let hists: Vec<BlockHistogram> = keys
             .chunks(p.keys_per_block)
             .map(|c| {
                 block_histogram(
@@ -356,30 +280,65 @@ mod tests {
                 )
             })
             .collect();
-        let hist = aggregate_histograms(&block_hists, p.radix);
+        let hist = aggregate_histograms(&hists, p.radix);
         let hist_usize: Vec<usize> = hist.iter().map(|&h| h as usize).collect();
         let (prefix, total) = exclusive_prefix_sum_usize(&hist_usize);
-        assert_eq!(total, n);
+        assert_eq!(total, bucket.len);
+        let dst_keys = SharedMut::new(dst_keys);
+        let dst_vals = SharedMut::new(dst_vals);
+        let mut running = vec![0usize; p.radix];
+        let mut out = Vec::new();
+        for (b, block) in keys.chunks(p.keys_per_block).enumerate() {
+            let start = bucket.offset + b * p.keys_per_block;
+            let mut cursor: Vec<usize> = (0..p.radix)
+                .map(|d| bucket.offset + prefix[d] + running[d])
+                .collect();
+            let max_bin = hists[b].counts.iter().copied().max().unwrap_or(0);
+            out.push(scatter_block(
+                block,
+                &src_vals[start..start + block.len()],
+                &mut cursor,
+                &dst_keys,
+                &dst_vals,
+                p,
+                max_bin,
+                None,
+            ));
+            for (r, &c) in running.iter_mut().zip(&hists[b].counts) {
+                *r += c as usize;
+            }
+        }
+        out
+    }
+
+    fn scatter_and_check(keys: Vec<u32>, p: ScatterParams) -> (Vec<u32>, Vec<BlockScatter>) {
+        let n = keys.len();
         let mut dst = vec![0u32; n];
         let src_vals = vec![(); n];
         let mut dst_vals = vec![(); n];
-        let outcome = scatter_bucket(
+        let blocks = scatter_bucket_blocks(
             &keys,
-            &mut dst,
             &src_vals,
+            &mut dst,
             &mut dst_vals,
-            &bucket,
-            &block_hists,
-            &prefix,
+            &Bucket::root(n),
             &p,
         );
-        (dst, outcome)
+        (dst, blocks)
+    }
+
+    fn shared_updates(blocks: &[BlockScatter]) -> u64 {
+        blocks.iter().map(|b| b.shared_updates).sum()
+    }
+
+    fn lookahead_blocks(blocks: &[BlockScatter]) -> usize {
+        blocks.iter().filter(|b| b.lookahead_active).count()
     }
 
     #[test]
     fn scatter_partitions_by_digit_value() {
         let keys = uniform_keys::<u32>(10_000, 1);
-        let (dst, outcome) = scatter_and_check(keys.clone(), params(false));
+        let (dst, blocks) = scatter_and_check(keys.clone(), params(false));
         // The output is partitioned: the most-significant byte is
         // non-decreasing.
         assert!(dst.windows(2).all(|w| (w[0] >> 24) <= (w[1] >> 24)));
@@ -389,35 +348,24 @@ mod tests {
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b);
-        assert_eq!(outcome.shared_updates, 10_000);
-        assert_eq!(outcome.blocks, 10);
+        assert_eq!(shared_updates(&blocks), 10_000);
+        assert_eq!(blocks.len(), 10);
     }
 
     #[test]
     fn values_follow_their_keys() {
         let keys = uniform_keys::<u32>(5_000, 2);
         let n = keys.len();
-        let bucket = Bucket::root(n);
-        let p = params(false);
-        let block_hists: Vec<BlockHistogram> = keys
-            .chunks(p.keys_per_block)
-            .map(|c| block_histogram(c, 8, 0, 256, HistogramStrategy::AtomicsOnly, 18))
-            .collect();
-        let hist = aggregate_histograms(&block_hists, 256);
-        let hist_usize: Vec<usize> = hist.iter().map(|&h| h as usize).collect();
-        let (prefix, _) = exclusive_prefix_sum_usize(&hist_usize);
         let vals: Vec<u32> = (0..n as u32).collect();
         let mut dst_keys = vec![0u32; n];
         let mut dst_vals = vec![0u32; n];
-        scatter_bucket(
+        scatter_bucket_blocks(
             &keys,
-            &mut dst_keys,
             &vals,
+            &mut dst_keys,
             &mut dst_vals,
-            &bucket,
-            &block_hists,
-            &prefix,
-            &p,
+            &Bucket::root(n),
+            &params(false),
         );
         for i in 0..n {
             assert_eq!(keys[dst_vals[i] as usize], dst_keys[i]);
@@ -429,30 +377,20 @@ mod tests {
         let keys = EntropyLevel::constant().generate_u32(3_000, 3);
         let (_, with) = scatter_and_check(keys.clone(), params(true));
         let (_, without) = scatter_and_check(keys, params(false));
-        assert_eq!(without.shared_updates, 3_000);
+        assert_eq!(shared_updates(&without), 3_000);
         // A look-ahead of two combines runs of three equal digits; with ten
         // keys per thread each thread issues ceil(10/3) = 4 writes.
-        assert_eq!(with.shared_updates, 1_200);
-        assert_eq!(with.lookahead_active_blocks, 3);
-        assert_eq!(without.lookahead_active_blocks, 0);
+        assert_eq!(shared_updates(&with), 1_200);
+        assert_eq!(lookahead_blocks(&with), 3);
+        assert_eq!(lookahead_blocks(&without), 0);
     }
 
     #[test]
     fn lookahead_not_activated_for_uniform_blocks() {
         let keys = uniform_keys::<u32>(3_000, 4);
-        let (_, outcome) = scatter_and_check(keys, params(true));
-        assert_eq!(outcome.lookahead_active_blocks, 0);
-        assert_eq!(outcome.shared_updates, 3_000);
-    }
-
-    #[test]
-    fn occupied_sub_buckets_tracks_block_diversity() {
-        let uniform = uniform_keys::<u32>(2_000, 5);
-        let (_, u) = scatter_and_check(uniform, params(false));
-        assert!(u.occupied_sub_buckets_sum > 2 * 200);
-        let constant = EntropyLevel::constant().generate_u32(2_000, 5);
-        let (_, c) = scatter_and_check(constant, params(false));
-        assert_eq!(c.occupied_sub_buckets_sum, 2);
+        let (_, blocks) = scatter_and_check(keys, params(true));
+        assert_eq!(lookahead_blocks(&blocks), 0);
+        assert_eq!(shared_updates(&blocks), 3_000);
     }
 
     #[test]
@@ -460,7 +398,7 @@ mod tests {
         // Scatter a bucket located in the middle of a larger buffer and make
         // sure nothing outside its range is touched.
         let n = 4_000;
-        let mut all = uniform_keys::<u32>(n, 6);
+        let all = uniform_keys::<u32>(n, 6);
         // Make the middle 2 000 keys the bucket of interest.
         let bucket = Bucket {
             id: 7,
@@ -472,27 +410,11 @@ mod tests {
             pass: 1,
             ..params(false)
         };
-        let block_hists: Vec<BlockHistogram> = all[1_000..3_000]
-            .chunks(p.keys_per_block)
-            .map(|c| block_histogram(c, 8, 1, 256, HistogramStrategy::AtomicsOnly, 18))
-            .collect();
-        let hist = aggregate_histograms(&block_hists, 256);
-        let hist_usize: Vec<usize> = hist.iter().map(|&h| h as usize).collect();
-        let (prefix, _) = exclusive_prefix_sum_usize(&hist_usize);
         let sentinel = 0xFFFF_FFFFu32;
         let mut dst = vec![sentinel; n];
         let src_vals = vec![(); n];
         let mut dst_vals = vec![(); n];
-        scatter_bucket(
-            &all,
-            &mut dst,
-            &src_vals,
-            &mut dst_vals,
-            &bucket,
-            &block_hists,
-            &prefix,
-            &p,
-        );
+        scatter_bucket_blocks(&all, &src_vals, &mut dst, &mut dst_vals, &bucket, &p);
         assert!(dst[..1_000].iter().all(|&k| k == sentinel));
         assert!(dst[3_000..].iter().all(|&k| k == sentinel));
         // The written range is a permutation of the bucket's keys.
@@ -501,7 +423,6 @@ mod tests {
         expect.sort_unstable();
         got.sort_unstable();
         assert_eq!(expect, got);
-        all.truncate(0);
     }
 
     fn block_params(radix: usize) -> ScatterParams {

@@ -135,16 +135,18 @@ fn staging_segments_are_a_warm_fixed_point() {
     // The write-combining scatter parks its per-worker staging segments in
     // the arena like the spare halves: after the warm-up sort they are a
     // fixed point too — staging adds zero steady-state allocations.
-    use hybrid_radix_sort::hrs_core::Optimizations;
     let keys: Vec<u32> = hybrid_radix_sort::workloads::uniform_keys(90_000, 9);
     let cfg = SortConfig::pairs_32_32().scaled_for(90_000, 500_000_000);
+    // A 4-byte line holds a single u32 key, so this sorter scatters direct
+    // and its staging segments stay empty.
+    let mut direct_cfg = cfg.clone();
+    direct_cfg.scatter_line_bytes = 4;
     for workers in WORKER_COUNTS {
         let staged =
             HybridRadixSorter::new(cfg.clone()).with_executor(Executor::with_workers(workers));
-        let unstaged = HybridRadixSorter::new(cfg.clone())
-            .with_executor(Executor::with_workers(workers))
-            .with_optimizations(Optimizations::unstaged_baseline());
-        for sorter in [&staged, &unstaged] {
+        let direct = HybridRadixSorter::new(direct_cfg.clone())
+            .with_executor(Executor::with_workers(workers));
+        for sorter in [&staged, &direct] {
             let mut k = keys.clone();
             let mut v: Vec<u32> = (0..90_000).collect();
             sorter.sort_pairs(&mut k, &mut v);
@@ -153,7 +155,7 @@ fn staging_segments_are_a_warm_fixed_point() {
         // value staging segments on top of the spare halves.
         let warm = staged.arena_stats();
         assert!(
-            warm.buffer_bytes > unstaged.arena_stats().buffer_bytes,
+            warm.buffer_bytes > direct.arena_stats().buffer_bytes,
             "staging segments missing from the warm arena (workers = {workers})"
         );
         for _ in 0..3 {
