@@ -258,7 +258,7 @@ mod tests {
     /// arm of [`scatter_block`], seeding every block's cursor the way a
     /// counting pass does (bucket offset + bucket prefix + counts of earlier
     /// blocks); returns the per-block outcomes.
-    fn scatter_bucket_blocks<V: Copy>(
+    fn scatter_blocks_of<V: Copy>(
         src_keys: &[u32],
         src_vals: &[V],
         dst_keys: &mut [u32],
@@ -316,7 +316,7 @@ mod tests {
         let mut dst = vec![0u32; n];
         let src_vals = vec![(); n];
         let mut dst_vals = vec![(); n];
-        let blocks = scatter_bucket_blocks(
+        let blocks = scatter_blocks_of(
             &keys,
             &src_vals,
             &mut dst,
@@ -359,7 +359,7 @@ mod tests {
         let vals: Vec<u32> = (0..n as u32).collect();
         let mut dst_keys = vec![0u32; n];
         let mut dst_vals = vec![0u32; n];
-        scatter_bucket_blocks(
+        scatter_blocks_of(
             &keys,
             &vals,
             &mut dst_keys,
@@ -414,7 +414,7 @@ mod tests {
         let mut dst = vec![sentinel; n];
         let src_vals = vec![(); n];
         let mut dst_vals = vec![(); n];
-        scatter_bucket_blocks(&all, &src_vals, &mut dst, &mut dst_vals, &bucket, &p);
+        scatter_blocks_of(&all, &src_vals, &mut dst, &mut dst_vals, &bucket, &p);
         assert!(dst[..1_000].iter().all(|&k| k == sentinel));
         assert!(dst[3_000..].iter().all(|&k| k == sentinel));
         // The written range is a permutation of the bucket's keys.
