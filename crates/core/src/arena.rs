@@ -9,6 +9,8 @@
 //! * **typed spare buffers** (the second halves of the key/value double
 //!   buffers, per key/value type) are parked in a type-keyed map between
 //!   sorts and resized — never reallocated — when the input size repeats;
+//! * the per-worker **ping-pong segments of the local radix sort** are
+//!   parked the same way, under their own roles;
 //! * **[`PassScratch`]** holds the per-radix tables (bucket histogram,
 //!   prefix sum), the per-block histogram strips and scatter base tables,
 //!   the per-worker write cursors and the bucket bookkeeping lists, all of
@@ -29,16 +31,20 @@
 //! use hrs_core::HybridRadixSorter;
 //!
 //! let sorter = HybridRadixSorter::with_defaults();
-//! let mut warm = workloads::uniform_keys::<u32>(40_000, 7);
-//! sorter.sort(&mut warm); // warm-up populates the arena
+//! let sort_both = |seed: u64| {
+//!     let mut keys = workloads::uniform_keys::<u32>(40_000, seed);
+//!     let mut vals: Vec<u32> = (0..40_000).collect();
+//!     sorter.sort(&mut keys.clone());
+//!     sorter.sort_pairs(&mut keys, &mut vals);
+//! };
+//! sort_both(7); // warm-up populates the arena
 //!
 //! let stats = sorter.arena_stats();
 //! assert!(stats.total_bytes() > 0);
 //! for seed in 0..3 {
-//!     let mut keys = workloads::uniform_keys::<u32>(40_000, seed);
-//!     sorter.sort(&mut keys);
+//!     sort_both(seed);
 //!     // Same-size sorts retain exactly the warmed capacities: the pass
-//!     // loop performed no steady-state allocation.
+//!     // loop and the local sorts performed no steady-state allocation.
 //!     assert_eq!(sorter.arena_stats(), stats);
 //! }
 //! ```
@@ -56,6 +62,10 @@ pub(crate) const ROLE_SPARE_VALS: u8 = 1;
 pub(crate) const ROLE_STAGE_KEYS: u8 = 2;
 /// Role tag of the per-worker write-combining value staging segment.
 pub(crate) const ROLE_STAGE_VALS: u8 = 3;
+/// Role tag of the per-worker local radix sort key scratch segment.
+pub(crate) const ROLE_LOCAL_KEYS: u8 = 4;
+/// Role tag of the per-worker local radix sort value scratch segment.
+pub(crate) const ROLE_LOCAL_VALS: u8 = 5;
 
 /// Per-block bookkeeping record filled by the histogram and scatter phases
 /// of a counting pass (one per key block, reused across passes).

@@ -275,6 +275,15 @@ impl SortConfig {
         if self.keys_per_block == 0 {
             return Err("keys_per_block must be positive".to_string());
         }
+        // The thread-reduction histogram of digits wider than 8 bits marks a
+        // block's counters with the top bit of a `u32`, which a block of
+        // 2^31 keys could reach.
+        if self.keys_per_block >= crate::histogram::RUN_MARK as usize {
+            return Err(format!(
+                "keys_per_block must be below 2^31, got {}",
+                self.keys_per_block
+            ));
+        }
         if self.merge_threshold > self.local_sort_threshold {
             return Err(format!(
                 "merge threshold ({}) must not exceed the local sort threshold ({})",
@@ -362,6 +371,16 @@ mod tests {
             assert!(c.validate().is_ok());
             assert!(c.keys_per_block <= (c.threads_per_block * c.keys_per_thread) as usize);
         }
+    }
+
+    #[test]
+    fn validate_rejects_blocks_that_reach_the_histogram_mark_bit() {
+        let mut c = SortConfig::keys_32();
+        c.keys_per_block = (1 << 31) - 1;
+        assert!(c.validate().is_ok());
+        c.keys_per_block = 1 << 31;
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("keys_per_block"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Per-block digit histograms (Section 4.3).
 //!
 //! Each key block accumulates one histogram in shared memory.  Two
-//! strategies are modelled (and both are executed functionally so the
-//! resulting counts are identical):
+//! strategies are modelled; both produce identical counts, and each reports
+//! the number of shared-memory `atomicAdd`s it *would* issue on the GPU so
+//! the cost model can translate it into simulated time:
 //!
 //! * **atomics only** — every key issues an `atomicAdd` on the counter of
 //!   its digit value; under heavy skew all threads of a block collide on a
@@ -12,16 +13,28 @@
 //!   registers, sorts runs of up to nine of them with a 25-comparator
 //!   network, and issues one `atomicAdd` per run of equal values.
 //!
-//! The number of atomic updates each strategy *would* issue is recorded so
-//! the cost model can translate it into simulated time, and the block
-//! histograms are written to device memory so the scatter step can reuse
-//! them (costing `r × 4` bytes per block, "< 4 %" of the key traffic for the
-//! default `KPB`).
+//! The thread reduction is priced, not executed: a sorted run issues one
+//! update per *distinct* digit, so the CPU counts each digit's first
+//! occurrence in its run inside the plain count loop and never sorts.  For
+//! digits of up to 8 bits a stack table stamps every digit with the last
+//! run that saw it; wider digits borrow the top bit of their counter as a
+//! "seen in this run" mark ([`RUN_MARK`]).  The
+//! block histograms are written to device memory so the scatter step can
+//! reuse them (costing `r × 4` bytes per block, "< 4 %" of the key traffic
+//! for the default `KPB`).
 
-use crate::digit::digit_of;
-use crate::sorting_network::{count_runs, sort_up_to_9};
+use crate::digit::digit_width;
 use gpu_sim::HistogramStrategy;
 use workloads::SortKey;
+
+/// Top bit of a `u32` digit counter, borrowed by the thread-reduction count
+/// of digits wider than 8 bits to mark digits already seen in the current
+/// register run.  A block of fewer than 2^31 keys never reaches it.
+pub const RUN_MARK: u32 = 1 << 31;
+
+/// Largest radix whose thread-reduction count keeps its run stamps in a
+/// stack table (8-bit digits, the default).
+const STAMP_RADIX: usize = 256;
 
 /// Histogram of one key block, plus the shared-memory atomic behaviour the
 /// chosen strategy exhibits on it.
@@ -49,8 +62,8 @@ impl BlockHistogram {
 /// Computes a block histogram over `keys` for the digit of `pass`.
 ///
 /// `keys_per_thread` controls how the block's keys are divided among the
-/// simulated threads for the thread-reduction strategy (each thread sorts
-/// its digit values in register runs of nine).
+/// simulated threads for the thread-reduction strategy (each thread
+/// combines its digit values in register runs of nine).
 pub fn block_histogram<K: SortKey>(
     keys: &[K],
     digit_bits: u32,
@@ -80,10 +93,13 @@ pub fn block_histogram<K: SortKey>(
 /// slice of the scratch arena's per-block strip table) and returns
 /// `(atomic_updates, distinct_values)`.
 ///
-/// The thread-reduction strategy stages each register run in a fixed
-/// 9-element buffer, so even the simulated sorting-network path touches no
-/// heap — this is what lets the executor run one histogram task per block
-/// with zero steady-state allocation.
+/// For digits wider than 8 bits, every entry of `counts` must stay below
+/// [`RUN_MARK`] (2^31) including this block's keys;
+/// [`SortConfig::validate`](crate::SortConfig::validate) guarantees that
+/// for the sorter's blocks.
+///
+/// Neither strategy touches the heap, which is what lets the executor run
+/// one histogram task per block with zero steady-state allocation.
 pub fn block_histogram_into<K: SortKey>(
     counts: &mut [u32],
     keys: &[K],
@@ -92,31 +108,55 @@ pub fn block_histogram_into<K: SortKey>(
     strategy: HistogramStrategy,
     keys_per_thread: usize,
 ) -> (u64, u32) {
+    let width = digit_width(K::BITS, digit_bits, pass);
+    let shift = K::BITS - digit_bits * pass - width;
+    let mask = (1u64 << width) - 1;
+    let digit = |key: &K| ((key.to_radix() >> shift) & mask) as usize;
     let mut atomic_updates = 0u64;
     match strategy {
         HistogramStrategy::AtomicsOnly => {
             for key in keys {
-                let d = digit_of(key.to_radix(), K::BITS, digit_bits, pass);
-                counts[d] += 1;
+                counts[digit(key)] += 1;
             }
             atomic_updates = keys.len() as u64;
         }
         HistogramStrategy::ThreadReduction => {
+            // A thread's sorted register run of up to nine digits issues one
+            // atomicAdd per distinct digit, so count each digit's first
+            // occurrence in its run.
             let kpt = keys_per_thread.max(1);
-            for thread_keys in keys.chunks(kpt) {
-                // Each thread extracts its digit values into registers and
-                // sorts runs of up to nine values with the sorting network,
-                // combining equal neighbours into one atomicAdd.
-                for run_keys in thread_keys.chunks(9) {
-                    let mut run = [0u16; 9];
-                    let m = run_keys.len();
-                    for (slot, k) in run[..m].iter_mut().zip(run_keys) {
-                        *slot = digit_of(k.to_radix(), K::BITS, digit_bits, pass) as u16;
+            let runs = keys
+                .chunks(kpt)
+                .flat_map(|thread_keys| thread_keys.chunks(9));
+            if counts.len() <= STAMP_RADIX {
+                // Stamp every digit with the last run that saw it.
+                let mut stamps = [0u64; STAMP_RADIX];
+                for (run_id, run_keys) in (1u64..).zip(runs) {
+                    for k in run_keys {
+                        let d = digit(k);
+                        // `d < counts.len() <= STAMP_RADIX`: the mask only
+                        // spares the bounds check.
+                        let stamp = &mut stamps[d & (STAMP_RADIX - 1)];
+                        atomic_updates += u64::from(*stamp != run_id);
+                        *stamp = run_id;
+                        counts[d] += 1;
                     }
-                    sort_up_to_9(&mut run[..m]);
-                    atomic_updates += count_runs(&run[..m]) as u64;
-                    for &d in &run[..m] {
-                        counts[d as usize] += 1;
+                }
+            } else {
+                // Too wide a digit for a stack table: the first occurrence
+                // sets `RUN_MARK` in the digit's counter, and the end of the
+                // run clears the (at most nine) marks again.
+                for run_keys in runs {
+                    let mut run = [0usize; 9];
+                    for (slot, k) in run.iter_mut().zip(run_keys) {
+                        let d = digit(k);
+                        *slot = d;
+                        let c = counts[d];
+                        atomic_updates += u64::from(c & RUN_MARK == 0);
+                        counts[d] = (c | RUN_MARK) + 1;
+                    }
+                    for &d in &run[..run_keys.len()] {
+                        counts[d] &= !RUN_MARK;
                     }
                 }
             }
@@ -140,7 +180,84 @@ pub fn aggregate_histograms(blocks: &[BlockHistogram], radix: usize) -> Vec<u64>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{uniform_keys, EntropyLevel};
+    use crate::digit::{digit_of, num_digits, radix_of_pass};
+    use workloads::{uniform_keys, Distribution, EntropyLevel};
+
+    /// The thread reduction as the GPU runs it: sort each register run of
+    /// up to nine digits and issue one update per distinct value.
+    fn reference_updates<K: SortKey>(
+        keys: &[K],
+        digit_bits: u32,
+        pass: u32,
+        keys_per_thread: usize,
+    ) -> u64 {
+        let mut updates = 0u64;
+        for thread_keys in keys.chunks(keys_per_thread.max(1)) {
+            for run_keys in thread_keys.chunks(9) {
+                let mut run: Vec<usize> = run_keys
+                    .iter()
+                    .map(|k| digit_of(k.to_radix(), K::BITS, digit_bits, pass))
+                    .collect();
+                run.sort_unstable();
+                run.dedup();
+                updates += run.len() as u64;
+            }
+        }
+        updates
+    }
+
+    fn check_exact_updates<K: SortKey>(label: &str, keys: &[K]) {
+        for digit_bits in [1u32, 5, 8, 11, 16] {
+            let passes = num_digits(K::BITS, digit_bits);
+            for pass in [0, 1, passes / 2, passes - 1] {
+                let radix = radix_of_pass(K::BITS, digit_bits, pass);
+                let atomics = block_histogram(
+                    keys,
+                    digit_bits,
+                    pass,
+                    radix,
+                    HistogramStrategy::AtomicsOnly,
+                    1,
+                );
+                for kpt in [1usize, 9, 17, 18, 4_000] {
+                    let got = block_histogram(
+                        keys,
+                        digit_bits,
+                        pass,
+                        radix,
+                        HistogramStrategy::ThreadReduction,
+                        kpt,
+                    );
+                    let case = format!("{label}: d={digit_bits} pass={pass} kpt={kpt}");
+                    assert_eq!(
+                        got.atomic_updates,
+                        reference_updates(keys, digit_bits, pass, kpt),
+                        "{case}"
+                    );
+                    assert_eq!(got.counts, atomics.counts, "{case}");
+                    assert_eq!(got.distinct_values, atomics.distinct_values, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thread_reduction_updates_match_a_sorted_run_reference() {
+        // 4 007 keys leave ragged tails for every keys_per_thread above
+        // (and a ragged last run inside each thread).
+        let n = 4_007;
+        check_exact_updates("uniform u32", &uniform_keys::<u32>(n, 11));
+        check_exact_updates("uniform u64", &uniform_keys::<u64>(n, 12));
+        check_exact_updates("constant", &vec![0x5A5A_F00Du32; n]);
+        check_exact_updates(
+            "paper_zipf",
+            &Distribution::paper_zipf(64).generate::<u32>(n, 13),
+        );
+        check_exact_updates(
+            "entropy",
+            &EntropyLevel::with_and_count(3).generate_u64(n, 14),
+        );
+    }
 
     #[test]
     fn both_strategies_produce_identical_counts() {

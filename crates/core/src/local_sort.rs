@@ -1,12 +1,20 @@
 //! Local sorts of small buckets (Section 4.2).
 //!
 //! A bucket of at most ∂̂ keys is sorted entirely in on-chip shared memory:
-//! it is read from device memory once, sorted (with CUB's `BlockRadixSort`
-//! on the GPU; here with a sorting network for tiny buckets and an LSD radix
-//! / comparison sort for larger ones), and written once to the buffer that
-//! will hold the final sorted output — no matter how many internal passes
-//! the local sort needs.  This is where the hybrid sort saves the bulk of
-//! its memory traffic for friendly distributions.
+//! it is read from device memory once, sorted with CUB's `BlockRadixSort`,
+//! and written once to the buffer that will hold the final sorted output —
+//! no matter how many internal passes the local sort needs.  This is where
+//! the hybrid sort saves the bulk of its memory traffic for friendly
+//! distributions.
+//!
+//! The CPU analogue of `BlockRadixSort` is [`radix_sort_bucket`], an LSD
+//! radix sort on 8-bit digits of the keys' radix representation.  It skips
+//! every digit on which all keys of the bucket agree (the digits the
+//! counting passes already partitioned, among others) and ping-pongs the
+//! remaining digit passes between the bucket's range and a per-worker
+//! scratch segment parked in the sorter's arena.  Key-only buckets of at
+//! most [`NETWORK_SORT_LIMIT`] keys use a sorting network instead (the
+//! paper's remark that the smallest configurations can use one).
 //!
 //! To avoid over-provisioning threads for tiny buckets, buckets are grouped
 //! into *size classes*; each class is a separate kernel launch with just
@@ -28,10 +36,17 @@ use crate::sorting_network::network_sort;
 use workloads::pairs::SortValue;
 use workloads::SortKey;
 
-/// Buckets at most this large are sorted with a comparison network instead
-/// of the radix-style sort (mirrors the paper's remark that the smallest
+/// Key-only buckets at most this large are sorted with a comparison network
+/// instead of the radix sort (mirrors the paper's remark that the smallest
 /// configurations can use a sorting network).
 pub const NETWORK_SORT_LIMIT: usize = 32;
+
+/// Width in bits of the local radix sort's digits.
+const LOCAL_DIGIT_BITS: u32 = 8;
+/// Number of values one local-sort digit takes.
+const LOCAL_RADIX: usize = 1 << LOCAL_DIGIT_BITS;
+/// Digits of the widest (64-bit) radix representation.
+const MAX_LOCAL_DIGITS: usize = (u64::BITS / LOCAL_DIGIT_BITS) as usize;
 
 /// Sorts all `buckets` whose keys currently live in buffer `src` (at their
 /// respective offsets) and places the sorted runs at the same offsets in
@@ -39,6 +54,10 @@ pub const NETWORK_SORT_LIMIT: usize = 32;
 /// sort happens in place.  Buckets are distributed over the executor's
 /// workers; the per-bucket statistics are accumulated on the calling
 /// thread.
+///
+/// `scratch_keys`/`scratch_vals` are the arena-owned ping-pong segments of
+/// the radix sort: they are grown to one ∂̂-key segment per worker and keep
+/// their capacity across calls.
 #[allow(clippy::too_many_arguments)]
 pub fn run_local_sorts<K: SortKey, V: SortValue>(
     buffers_keys: &mut [Vec<K>; 2],
@@ -50,12 +69,15 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
     opts: &Optimizations,
     exec: &Executor,
     probe: Option<&ExecProbe>,
+    scratch_keys: &mut Vec<K>,
+    scratch_vals: &mut Vec<V>,
     stats: &mut LocalSortStats,
 ) {
     // Bookkeeping first (cheap, O(1) per bucket): size classes, merge and
     // provisioning statistics.
     let mut classes_seen = [0usize; 64];
     let mut n_classes = 0usize;
+    let mut largest = 0usize;
     for bucket in buckets {
         let class = config.class_for(bucket.len, !opts.multiple_local_sort_configs);
         if !classes_seen[..n_classes].contains(&class.max_keys) && n_classes < classes_seen.len() {
@@ -68,8 +90,9 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
         if bucket.is_merged() {
             stats.merged_buckets += 1;
         }
-        stats.largest_bucket = stats.largest_bucket.max(bucket.len as u64);
+        largest = largest.max(bucket.len);
     }
+    stats.largest_bucket = stats.largest_bucket.max(largest as u64);
     stats.classes_used = stats.classes_used.max(n_classes as u64);
 
     if buckets.is_empty() {
@@ -78,20 +101,49 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
 
     // One dynamically scheduled task per bucket (so a handful of
     // near-threshold buckets cannot strand a worker behind a chunk of
-    // them), with one record staging buffer per *worker* — a pass still
-    // issues at most `workers` staging allocations.
-    let mut stagings: Vec<Vec<(u64, K, V)>> = (0..exec.workers()).map(|_| Vec::new()).collect();
-    let staging_view = SharedMut::new(&mut stagings);
+    // them), with one scratch segment per *worker*.  A segment holds the
+    // largest bucket any input of this size can route here, so the warmed
+    // scratch is a fixed point whatever the keys.
+    let values_present = std::mem::size_of::<V>() != 0;
+    let segment = config
+        .local_sort_threshold
+        .min(buffers_keys[dst].len())
+        .max(largest);
+    let value_segment = if values_present { segment } else { 0 };
+    let scratch_len = exec.workers() * segment;
+    if scratch_keys.len() < scratch_len {
+        scratch_keys.resize(scratch_len, K::default());
+    }
+    if values_present && scratch_vals.len() < scratch_len {
+        scratch_vals.resize(scratch_len, V::default());
+    }
+    let scratch_keys = SharedMut::new(scratch_keys.as_mut_slice());
+    let scratch_vals = SharedMut::new(scratch_vals.as_mut_slice());
+    // Zero-sized values are never touched, so their views stay empty.
+    let value_range = |bucket: &LocalBucket| {
+        if values_present {
+            (bucket.offset, bucket.len)
+        } else {
+            (0, 0)
+        }
+    };
 
     if src == dst {
         let keys = SharedMut::new(buffers_keys[dst].as_mut_slice());
         let vals = SharedMut::new(buffers_vals[dst].as_mut_slice());
         exec.for_each_task_probed(buckets.len(), probe, |b, worker| {
-            // SAFETY: bucket ranges are disjoint across tasks, and staging
-            // slot `worker` belongs to this thread only.
+            let bucket = &buckets[b];
+            let (voff, vlen) = value_range(bucket);
+            // SAFETY: bucket ranges are disjoint across tasks, and scratch
+            // segment `worker` belongs to this thread only.
             unsafe {
-                let records = &mut staging_view.slice_mut(worker, 1)[0];
-                sort_range_in_place(&keys, &vals, &buckets[b], records);
+                sort_bucket(
+                    None,
+                    keys.slice_mut(bucket.offset, bucket.len),
+                    vals.slice_mut(voff, vlen),
+                    scratch_keys.slice_mut(worker * segment, bucket.len),
+                    scratch_vals.slice_mut(worker * value_segment, vlen),
+                );
             }
         });
     } else {
@@ -101,20 +153,21 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
         let dst_vals = SharedMut::new(dst_vals);
         exec.for_each_task_probed(buckets.len(), probe, |b, worker| {
             let bucket = &buckets[b];
-            let range = bucket.offset..bucket.offset + bucket.len;
-            // SAFETY: bucket ranges are disjoint across tasks, and staging
-            // slot `worker` belongs to this thread only.
+            let (voff, vlen) = value_range(bucket);
+            let input = (
+                &src_keys[bucket.offset..bucket.offset + bucket.len],
+                &src_vals[voff..voff + vlen],
+            );
+            // SAFETY: bucket ranges are disjoint across tasks, and scratch
+            // segment `worker` belongs to this thread only.
             unsafe {
-                let keys = dst_keys.slice_mut(bucket.offset, bucket.len);
-                keys.copy_from_slice(&src_keys[range.clone()]);
-                if std::mem::size_of::<V>() != 0 {
-                    let vals = dst_vals.slice_mut(bucket.offset, bucket.len);
-                    vals.copy_from_slice(&src_vals[range]);
-                    let records = &mut staging_view.slice_mut(worker, 1)[0];
-                    sort_pairs_with_staging(keys, vals, records);
-                } else {
-                    sort_keys_in_shared_memory(keys);
-                }
+                sort_bucket(
+                    Some(input),
+                    dst_keys.slice_mut(bucket.offset, bucket.len),
+                    dst_vals.slice_mut(voff, vlen),
+                    scratch_keys.slice_mut(worker * segment, bucket.len),
+                    scratch_vals.slice_mut(worker * value_segment, vlen),
+                );
             }
         });
     }
@@ -132,74 +185,190 @@ fn split_src_dst<T>(bufs: &mut [Vec<T>; 2], src: usize, dst: usize) -> (&[T], &m
     }
 }
 
-/// Sorts one bucket in place inside the shared destination views.
-///
-/// # Safety
-///
-/// The bucket's range must be in bounds and owned exclusively by the
-/// calling task.
-unsafe fn sort_range_in_place<K: SortKey, V: SortValue>(
-    keys: &SharedMut<'_, K>,
-    vals: &SharedMut<'_, V>,
-    bucket: &LocalBucket,
-    records: &mut Vec<(u64, K, V)>,
-) {
-    // SAFETY: forwarded contract — the caller exclusively owns the
-    // bucket's range in both views.
-    let key_slice = unsafe { keys.slice_mut(bucket.offset, bucket.len) };
-    if std::mem::size_of::<V>() != 0 {
-        // SAFETY: as above, for the value view.
-        let val_slice = unsafe { vals.slice_mut(bucket.offset, bucket.len) };
-        sort_pairs_with_staging(key_slice, val_slice, records);
-    } else {
-        sort_keys_in_shared_memory(key_slice);
-    }
-}
-
-/// Co-sorts a key slice and its value slice by key, staging `(radix, key,
-/// value)` records in a reusable buffer exactly like the GPU stages a
-/// bucket's pairs through shared memory.
-fn sort_pairs_with_staging<K: SortKey, V: SortValue>(
+/// Sorts one bucket into `keys`/`vals`, choosing the algorithm by size
+/// exactly as the local-sort configurations would; see
+/// [`radix_sort_bucket`] for the arguments.
+fn sort_bucket<K: SortKey, V: SortValue>(
+    src: Option<(&[K], &[V])>,
     keys: &mut [K],
     vals: &mut [V],
-    records: &mut Vec<(u64, K, V)>,
+    scratch_keys: &mut [K],
+    scratch_vals: &mut [V],
 ) {
-    records.clear();
-    records.extend(
-        keys.iter()
-            .zip(vals.iter())
-            .map(|(&k, &v)| (k.to_radix(), k, v)),
-    );
-    records.sort_unstable_by_key(|r| r.0);
-    for (i, (_, k, v)) in records.drain(..).enumerate() {
-        keys[i] = k;
-        vals[i] = v;
+    if std::mem::size_of::<V>() == 0 && keys.len() <= NETWORK_SORT_LIMIT {
+        if let Some((src_keys, _)) = src {
+            keys.copy_from_slice(src_keys);
+        }
+        network_sort_keys(keys);
+    } else {
+        radix_sort_bucket(src, keys, vals, scratch_keys, scratch_vals);
     }
 }
 
-/// Sorts a staged bucket of keys, choosing the algorithm by size exactly as
-/// the local-sort configurations would.
-pub fn sort_keys_in_shared_memory<K: SortKey>(staged: &mut [K]) {
-    if staged.len() <= 1 {
+/// Sorts a tiny key-only bucket with a comparison network on the radix
+/// representation, staged in a fixed register-sized buffer.
+fn network_sort_keys<K: SortKey>(keys: &mut [K]) {
+    let mut encoded = [0u64; NETWORK_SORT_LIMIT];
+    let m = keys.len().min(NETWORK_SORT_LIMIT);
+    for (slot, k) in encoded[..m].iter_mut().zip(keys.iter()) {
+        *slot = k.to_radix();
+    }
+    network_sort(&mut encoded[..m]);
+    for (slot, &bits) in keys.iter_mut().zip(&encoded[..m]) {
+        *slot = K::from_radix(bits);
+    }
+}
+
+/// LSD radix sort of one bucket by `to_radix()` on 8-bit digits: the CPU
+/// analogue of the in-shared-memory `BlockRadixSort`.
+///
+/// The bucket is read from `src` when given (and left there untouched), or
+/// sorted in place in `keys`/`vals` otherwise; either way the result lands
+/// in `keys`/`vals`.  Every digit on which all keys agree is skipped (a
+/// constant bucket needs no pass at all); the others ping-pong between
+/// `keys`/`vals` and `scratch_keys`/`scratch_vals`, which must hold at
+/// least `keys.len()` elements.  The first pass writes wherever makes the
+/// last pass land in `keys`, so only an in-place sort with an odd number of
+/// digit passes copies the bucket once more.
+///
+/// Values move with their keys unless `V` is zero-sized, in which case the
+/// value slices are never touched and may be empty.
+pub fn radix_sort_bucket<K: SortKey, V: SortValue>(
+    src: Option<(&[K], &[V])>,
+    keys: &mut [K],
+    vals: &mut [V],
+    scratch_keys: &mut [K],
+    scratch_vals: &mut [V],
+) {
+    let n = keys.len();
+    let values_present = std::mem::size_of::<V>() != 0;
+    let (shift_buf, n_shifts, counts) = {
+        let input = src.map_or(&*keys, |(k, _)| k);
+        let (shift_buf, n_shifts) = varying_digits(input);
+        let counts = digit_counts(input, &shift_buf[..n_shifts]);
+        (shift_buf, n_shifts, counts)
+    };
+    let shifts = &shift_buf[..n_shifts];
+    if shifts.is_empty() {
+        if let Some((src_keys, src_vals)) = src {
+            keys.copy_from_slice(src_keys);
+            if values_present {
+                vals.copy_from_slice(src_vals);
+            }
+        }
         return;
     }
-    if staged.len() <= NETWORK_SORT_LIMIT {
-        // Tiny buckets: comparison network on the radix representation,
-        // staged in a fixed register-sized buffer.
-        let mut encoded = [0u64; NETWORK_SORT_LIMIT];
-        let m = staged.len();
-        for (slot, k) in encoded[..m].iter_mut().zip(staged.iter()) {
-            *slot = k.to_radix();
+    let scratch_keys = &mut scratch_keys[..n];
+    let scratch_vals = if values_present {
+        &mut scratch_vals[..n]
+    } else {
+        scratch_vals
+    };
+
+    // The last pass must write `keys`, so with an odd number of passes the
+    // first one does.  `in_keys` tracks where the bucket sits before the
+    // next pass.
+    let odd = shifts.len() % 2 == 1;
+    let mut digits = shifts.iter().copied().zip(&counts);
+    let mut in_keys = !odd;
+    match src {
+        Some((src_keys, src_vals)) => {
+            // The first pass reads the source directly.
+            if let Some((shift, digit_counts)) = digits.next() {
+                if odd {
+                    scatter_digit(src_keys, src_vals, keys, vals, shift, digit_counts);
+                } else {
+                    let (to_keys, to_vals) = (&mut *scratch_keys, &mut *scratch_vals);
+                    scatter_digit(src_keys, src_vals, to_keys, to_vals, shift, digit_counts);
+                }
+            }
+            in_keys = odd;
         }
-        network_sort(&mut encoded[..m]);
-        for (slot, &bits) in staged.iter_mut().zip(&encoded[..m]) {
-            *slot = K::from_radix(bits);
+        None if odd => {
+            // In place, the first pass cannot overwrite its own input.
+            scratch_keys.copy_from_slice(keys);
+            if values_present {
+                scratch_vals.copy_from_slice(vals);
+            }
+        }
+        None => {}
+    }
+    for (shift, digit_counts) in digits {
+        if in_keys {
+            scatter_digit(keys, vals, scratch_keys, scratch_vals, shift, digit_counts);
+        } else {
+            scatter_digit(scratch_keys, scratch_vals, keys, vals, shift, digit_counts);
+        }
+        in_keys = !in_keys;
+    }
+}
+
+/// Shifts of the local-sort digits (least significant first) on which the
+/// keys do not all agree, i.e. the nonzero digits of the OR of
+/// `key ^ first`, and how many there are.
+fn varying_digits<K: SortKey>(keys: &[K]) -> ([u32; MAX_LOCAL_DIGITS], usize) {
+    let first = keys.first().map_or(0, |k| k.to_radix());
+    let varying = keys
+        .iter()
+        .fold(0u64, |acc, k| acc | (k.to_radix() ^ first));
+    let mut shifts = [0u32; MAX_LOCAL_DIGITS];
+    let mut len = 0;
+    let varying_shifts = (0..K::BITS)
+        .step_by(LOCAL_DIGIT_BITS as usize)
+        .filter(|&shift| local_digit(varying, shift) != 0);
+    for (slot, shift) in shifts.iter_mut().zip(varying_shifts) {
+        *slot = shift;
+        len += 1;
+    }
+    (shifts, len)
+}
+
+/// One counting sweep over `keys` that histograms every digit in `shifts`.
+fn digit_counts<K: SortKey>(keys: &[K], shifts: &[u32]) -> [[u32; LOCAL_RADIX]; MAX_LOCAL_DIGITS] {
+    let mut counts = [[0u32; LOCAL_RADIX]; MAX_LOCAL_DIGITS];
+    for k in keys {
+        let bits = k.to_radix();
+        for (digit_counts, &shift) in counts.iter_mut().zip(shifts) {
+            digit_counts[local_digit(bits, shift)] += 1;
+        }
+    }
+    counts
+}
+
+#[inline]
+fn local_digit(bits: u64, shift: u32) -> usize {
+    ((bits >> shift) as usize) & (LOCAL_RADIX - 1)
+}
+
+/// One stable counting-sort pass on the digit at `shift`, from `src_*` to
+/// `dst_*`, given that digit's histogram of the keys.
+fn scatter_digit<K: SortKey, V: SortValue>(
+    src_keys: &[K],
+    src_vals: &[V],
+    dst_keys: &mut [K],
+    dst_vals: &mut [V],
+    shift: u32,
+    counts: &[u32; LOCAL_RADIX],
+) {
+    let mut offsets = [0usize; LOCAL_RADIX];
+    let mut sum = 0usize;
+    for (offset, &count) in offsets.iter_mut().zip(counts) {
+        *offset = sum;
+        sum += count as usize;
+    }
+    if std::mem::size_of::<V>() == 0 {
+        for &k in src_keys {
+            let slot = &mut offsets[local_digit(k.to_radix(), shift)];
+            dst_keys[*slot] = k;
+            *slot += 1;
         }
     } else {
-        // Larger buckets: LSD-style sort on the radix representation (an
-        // unstable comparison sort is functionally equivalent to the
-        // in-shared-memory BlockRadixSort).
-        staged.sort_unstable_by_key(|k| k.to_radix());
+        for (&k, &v) in src_keys.iter().zip(src_vals) {
+            let slot = &mut offsets[local_digit(k.to_radix(), shift)];
+            dst_keys[*slot] = k;
+            dst_vals[*slot] = v;
+            *slot += 1;
+        }
     }
 }
 
@@ -235,6 +404,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats,
         );
         assert!(bufs[1][..400].windows(2).all(|w| w[0] <= w[1]));
@@ -265,6 +436,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats,
         );
         for workers in [2usize, 7] {
@@ -281,6 +454,8 @@ mod tests {
                 &Optimizations::all_on(),
                 &Executor::with_workers(workers),
                 None,
+                &mut Vec::new(),
+                &mut Vec::new(),
                 &mut stats,
             );
             assert_eq!(got[1], expect[1], "workers = {workers}");
@@ -303,6 +478,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats,
         );
         assert_eq!(bufs[0], KeyCodec::std_sorted(&keys));
@@ -325,6 +502,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::with_workers(2),
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats,
         );
         assert!(workloads::pairs::verify_indexed_pair_sort(
@@ -349,6 +528,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats_multi,
         );
         // Two 100-key buckets fall into the [1,128] class.
@@ -367,6 +548,8 @@ mod tests {
             &Optimizations::single_local_sort_config(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats_single,
         );
         // The single configuration provisions ∂̂ keys per bucket.
@@ -396,6 +579,8 @@ mod tests {
             &Optimizations::all_on(),
             &Executor::Sequential,
             None,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut stats,
         );
         assert_eq!(stats.merged_buckets, 1);
@@ -403,18 +588,202 @@ mod tests {
 
     #[test]
     fn shared_memory_sort_handles_all_sizes() {
+        let mut scratch = vec![0u64; 5_000];
         for n in [0usize, 1, 2, 17, 32, 33, 100, 5_000] {
             let mut keys = uniform_keys::<u64>(n, 6);
             let expected = KeyCodec::std_sorted(&keys);
-            sort_keys_in_shared_memory(&mut keys);
+            sort_bucket::<u64, ()>(None, &mut keys, &mut [], &mut scratch, &mut []);
             assert_eq!(keys, expected, "n = {n}");
         }
         // Signed and float keys go through the codec.
         let mut keys: Vec<i32> = vec![5, -3, 0, -100, 77];
-        sort_keys_in_shared_memory(&mut keys);
+        sort_bucket::<i32, ()>(None, &mut keys, &mut [], &mut [0; 5], &mut []);
         assert_eq!(keys, vec![-100, -3, 0, 5, 77]);
         let mut keys: Vec<f32> = vec![2.5, -1.0, 0.0, -7.5];
-        sort_keys_in_shared_memory(&mut keys);
+        sort_bucket::<f32, ()>(None, &mut keys, &mut [], &mut [0.0; 4], &mut []);
         assert_eq!(keys, vec![-7.5, -1.0, 0.0, 2.5]);
+    }
+
+    /// Bucket sizes of the equivalence tests: empty, tiny, both sides of
+    /// the network limit, and ∂̂ of the 32-bit key configuration.
+    const SIZES: [usize; 7] = [0, 1, 2, 31, 32, 33, 9_216];
+
+    fn radix_bits<K: SortKey>(keys: &[K]) -> Vec<u64> {
+        keys.iter().map(|k| k.to_radix()).collect()
+    }
+
+    /// Back-to-back buckets of the given sizes.
+    fn buckets_of(sizes: &[usize]) -> Vec<LocalBucket> {
+        let mut offset = 0;
+        sizes
+            .iter()
+            .map(|&len| {
+                let b = bucket(offset, len);
+                offset += len;
+                b
+            })
+            .collect()
+    }
+
+    /// Runs the local sorts of `buckets` through the in-place arm
+    /// (`src == dst`) or the copying arm and returns the destination
+    /// buffers.
+    fn local_sort<K: SortKey, V: SortValue>(
+        keys: &[K],
+        vals: &[V],
+        buckets: &[LocalBucket],
+        in_place: bool,
+        workers: usize,
+    ) -> (Vec<K>, Vec<V>) {
+        let dst = if in_place { 0 } else { 1 };
+        let mut kbufs = [keys.to_vec(), vec![K::default(); keys.len()]];
+        let mut vbufs = [vals.to_vec(), vec![V::default(); vals.len()]];
+        let exec = if workers == 1 {
+            Executor::Sequential
+        } else {
+            Executor::with_workers(workers)
+        };
+        run_local_sorts(
+            &mut kbufs,
+            &mut vbufs,
+            0,
+            dst,
+            buckets,
+            &SortConfig::pairs_32_32(),
+            &Optimizations::all_on(),
+            &exec,
+            None,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut LocalSortStats::default(),
+        );
+        let [k0, k1] = kbufs;
+        let [v0, v1] = vbufs;
+        if in_place {
+            (k0, v0)
+        } else {
+            (k1, v1)
+        }
+    }
+
+    /// Sorts `keys`, cut into `buckets`, as pairs with per-bucket row ids
+    /// and as bare keys, through both arms at 1, 2 and 7 workers.  Every
+    /// bucket must match the std order with its values following their
+    /// keys, and every run must be byte-identical to the sequential one.
+    fn check_equivalence<K: SortKey>(label: &str, keys: &[K], buckets: &[LocalBucket]) {
+        let mut row_ids = vec![0u32; keys.len()];
+        for b in buckets {
+            for (i, v) in row_ids[b.offset..b.offset + b.len].iter_mut().enumerate() {
+                *v = i as u32;
+            }
+        }
+        for in_place in [true, false] {
+            let case = format!("{label}, in_place = {in_place}");
+            let (seq_keys, seq_vals) = local_sort(keys, &row_ids, buckets, in_place, 1);
+            for b in buckets {
+                let range = b.offset..b.offset + b.len;
+                let expected = KeyCodec::std_sorted(&keys[range.clone()]);
+                assert_eq!(
+                    radix_bits(&seq_keys[range.clone()]),
+                    radix_bits(&expected),
+                    "{case}, bucket of {}",
+                    b.len
+                );
+                assert!(
+                    workloads::pairs::verify_indexed_pair_sort(
+                        &keys[range.clone()],
+                        &seq_keys[range.clone()],
+                        &seq_vals[range],
+                    ),
+                    "{case}, bucket of {}",
+                    b.len
+                );
+            }
+            let (bare, _) = local_sort::<K, ()>(keys, &[], buckets, in_place, 1);
+            assert_eq!(
+                radix_bits(&bare),
+                radix_bits(&seq_keys),
+                "{case}, keys only"
+            );
+            for workers in [2usize, 7] {
+                let (k, v) = local_sort(keys, &row_ids, buckets, in_place, workers);
+                assert_eq!(radix_bits(&k), radix_bits(&seq_keys), "{case}, {workers}");
+                assert_eq!(v, seq_vals, "{case}, workers = {workers}");
+                let (bare, _) = local_sort::<K, ()>(keys, &[], buckets, in_place, workers);
+                assert_eq!(
+                    radix_bits(&bare),
+                    radix_bits(&seq_keys),
+                    "{case}, {workers}"
+                );
+            }
+        }
+    }
+
+    fn check_every_size<K: SortKey>(label: &str) {
+        let n: usize = SIZES.iter().sum();
+        check_equivalence(label, &uniform_keys::<K>(n, 6), &buckets_of(&SIZES));
+    }
+
+    #[test]
+    fn radix_local_sort_matches_std_for_every_key_type() {
+        check_every_size::<u32>("u32");
+        check_every_size::<u64>("u64");
+        check_every_size::<i32>("i32");
+        check_every_size::<i64>("i64");
+        check_every_size::<f32>("f32");
+        check_every_size::<f64>("f64");
+    }
+
+    #[test]
+    fn float_buckets_follow_the_total_order() {
+        let keys: Vec<f64> = vec![2.5, -0.0, f64::INFINITY, -7.5, 0.0, -1.0, 1e-300, -1e300];
+        let mut expected = keys.clone();
+        expected.sort_by(f64::total_cmp);
+        let (sorted, _) = local_sort::<f64, ()>(&keys, &[], &buckets_of(&[keys.len()]), true, 1);
+        assert_eq!(radix_bits(&sorted), radix_bits(&expected));
+        let keys: Vec<i32> = vec![5, -3, 0, -100, 77, i32::MIN, i32::MAX];
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        let (sorted, _) = local_sort::<i32, ()>(&keys, &[], &buckets_of(&[keys.len()]), false, 1);
+        assert_eq!(sorted, expected);
+    }
+
+    #[test]
+    fn constant_bucket_needs_no_digit_pass() {
+        let keys = vec![0xDEAD_BEEF_u64; 1_000];
+        let (shifts, len) = varying_digits(&keys);
+        assert_eq!(len, 0, "{shifts:?}");
+        check_equivalence("constant", &keys, &buckets_of(&[1_000]));
+        // One differing key brings back exactly the digits it differs in.
+        let mut keys = keys;
+        keys[500] ^= 0x0100_0000_0000_0001;
+        let (shifts, len) = varying_digits(&keys);
+        assert_eq!(&shifts[..len], &[0, 56]);
+        check_equivalence("one outlier", &keys, &buckets_of(&[1_000]));
+    }
+
+    #[test]
+    fn merged_bucket_differing_in_the_last_partitioned_digit() {
+        // Two counting passes have partitioned the top two bytes; the merge
+        // joined four sub-buckets that share byte 3 but differ in byte 2,
+        // laid out in sub-bucket order.
+        let mut keys = Vec::new();
+        for (i, digit) in [3u32, 7, 200, 201].into_iter().enumerate() {
+            let low = uniform_keys::<u32>(700, 20 + i as u64);
+            keys.extend(
+                low.iter()
+                    .map(|&k| 0xAB00_0000 | (digit << 16) | (k & 0xFFFF)),
+            );
+        }
+        let merged = LocalBucket {
+            id: 9,
+            offset: 0,
+            len: keys.len(),
+            merged_from: 4,
+            sorted_passes: 2,
+        };
+        let (shifts, len) = varying_digits(&keys);
+        assert_eq!(&shifts[..len], &[0, 8, 16]);
+        check_equivalence("merged", &keys, &[merged]);
     }
 }

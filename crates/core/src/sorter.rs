@@ -24,7 +24,8 @@
 //! simulated GPU execution breakdown.
 
 use crate::arena::{
-    ArenaStats, ScratchArena, ROLE_SPARE_KEYS, ROLE_SPARE_VALS, ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
+    ArenaStats, ScratchArena, ROLE_LOCAL_KEYS, ROLE_LOCAL_VALS, ROLE_SPARE_KEYS, ROLE_SPARE_VALS,
+    ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
 };
 use crate::bucket::Bucket;
 use crate::config::SortConfig;
@@ -290,6 +291,14 @@ impl HybridRadixSorter {
         } else {
             Vec::new()
         };
+        // So do the per-worker ping-pong segments of the local radix sort
+        // (sized by `run_local_sorts`).
+        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, 0);
+        let mut local_vals: Vec<V> = if values_present {
+            arena.take_buffer::<V>(ROLE_LOCAL_VALS, 0)
+        } else {
+            Vec::new()
+        };
         let mut key_bufs: [Vec<K>; 2] = [std::mem::take(keys), spare_keys];
         let mut val_bufs: [Vec<V>; 2] = [std::mem::take(values), spare_vals];
 
@@ -374,6 +383,8 @@ impl HybridRadixSorter {
                     &self.opts,
                     &self.exec,
                     exec_probe,
+                    &mut local_keys,
+                    &mut local_vals,
                     &mut report.local,
                 );
             }
@@ -424,8 +435,10 @@ impl HybridRadixSorter {
         // The staging segments are parked too: once warmed up they are a
         // fixed point just like the spare halves.
         arena.put_buffer(ROLE_STAGE_KEYS, staging_keys);
+        arena.put_buffer(ROLE_LOCAL_KEYS, local_keys);
         if values_present {
             arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
+            arena.put_buffer(ROLE_LOCAL_VALS, local_vals);
         }
         // Undo an odd number of swaps before parking, so a repeated sort
         // runs each physical list through the same pass sequence and the
@@ -576,18 +589,25 @@ mod tests {
     #[test]
     fn arena_is_reused_for_pairs_too() {
         let keys = uniform_keys::<u32>(30_000, 2);
-        let sorter =
-            HybridRadixSorter::new(SortConfig::pairs_32_32().scaled_for(30_000, 500_000_000));
-        let mut k = keys.clone();
-        let mut v: Vec<u32> = (0..30_000).collect();
-        sorter.sort_pairs(&mut k, &mut v);
-        let warm = sorter.arena_stats();
-        // Key and value spare buffers are both parked.
-        assert!(warm.buffers >= 2);
-        let mut k = keys.clone();
-        let mut v: Vec<u32> = (0..30_000).collect();
-        sorter.sort_pairs(&mut k, &mut v);
-        assert_eq!(sorter.arena_stats(), warm);
+        let cfg = SortConfig::pairs_32_32().scaled_for(30_000, 500_000_000);
+        for workers in [1usize, 2, 7] {
+            let sorter =
+                HybridRadixSorter::new(cfg.clone()).with_executor(Executor::with_workers(workers));
+            let mut k = keys.clone();
+            let mut v: Vec<u32> = (0..30_000).collect();
+            let report = sorter.sort_pairs(&mut k, &mut v);
+            assert!(report.local.n_keys > 0, "no local sort ran");
+            let warm = sorter.arena_stats();
+            // Key and value buffers are parked for every role: spare halves,
+            // write-combining staging and local radix sort scratch.
+            assert_eq!(warm.buffers, 6, "workers = {workers}");
+            for _ in 0..2 {
+                let mut k = keys.clone();
+                let mut v: Vec<u32> = (0..30_000).collect();
+                sorter.sort_pairs(&mut k, &mut v);
+                assert_eq!(sorter.arena_stats(), warm, "workers = {workers}");
+            }
+        }
     }
 
     #[test]

@@ -1,69 +1,15 @@
 //! Small sorting networks.
 //!
-//! Two places in the paper use sorting networks:
+//! The smallest local-sort configurations may use a comparison network
+//! instead of an in-shared-memory radix sort (Section 4.2); the local sort
+//! does so for key-only buckets of at most
+//! [`NETWORK_SORT_LIMIT`](crate::local_sort::NETWORK_SORT_LIMIT) keys.  The
+//! network is Batcher's odd-even merge network, generated on the fly.
 //!
-//! * the *thread reduction* histogram sorts runs of up to nine digit values
-//!   held in registers with a 25-comparator network, so that identical
-//!   values become adjacent and can be combined into a single `atomicAdd`
-//!   (Section 4.3);
-//! * the smallest local-sort configurations may use a comparison network
-//!   instead of an in-shared-memory LSD radix sort (Section 4.2).
-//!
-//! The 9-element network below is the optimal 25-comparator network
-//! (Floyd's construction); larger sizes fall back to Batcher's odd-even
-//! merge network generated on the fly.
-
-/// The optimal 25-comparator sorting network for nine elements, given as
-/// compare-exchange index pairs.
-pub const NETWORK_9: [(usize, usize); 25] = [
-    (0, 3),
-    (1, 7),
-    (2, 5),
-    (4, 8),
-    (0, 7),
-    (2, 4),
-    (3, 8),
-    (5, 6),
-    (0, 2),
-    (1, 3),
-    (4, 5),
-    (7, 8),
-    (1, 4),
-    (3, 6),
-    (5, 7),
-    (0, 1),
-    (2, 4),
-    (3, 5),
-    (6, 8),
-    (2, 3),
-    (4, 5),
-    (6, 7),
-    (1, 2),
-    (3, 4),
-    (5, 6),
-];
-
-/// Sorts up to nine elements in place using [`NETWORK_9`] (shorter slices
-/// are handled by skipping comparators that fall outside the slice).
-pub fn sort_up_to_9<T: Ord + Copy>(values: &mut [T]) {
-    debug_assert!(values.len() <= 9);
-    let n = values.len();
-    for &(a, b) in &NETWORK_9 {
-        if b < n && values[a] > values[b] {
-            values.swap(a, b);
-        }
-    }
-}
-
-/// Counts the number of runs of equal values in a slice (the number of
-/// `atomicAdd` operations the thread reduction issues for an already sorted
-/// register run).
-pub fn count_runs<T: PartialEq>(values: &[T]) -> usize {
-    if values.is_empty() {
-        return 0;
-    }
-    1 + values.windows(2).filter(|w| w[0] != w[1]).count()
-}
+//! (The paper's thread-reduction histogram also sorts register runs of nine
+//! digits with a 25-comparator network, Section 4.3.  The CPU histogram only
+//! prices that network: it counts the `atomicAdd`s a sorted run would issue
+//! without sorting, see [`histogram`](crate::histogram).)
 
 /// Generates the compare-exchange pairs of Batcher's odd-even merge sorting
 /// network for `n` elements (`n` is rounded up to the next power of two
@@ -110,46 +56,6 @@ pub fn network_sort<T: Ord + Copy>(values: &mut [T]) {
 mod tests {
     use super::*;
     use workloads::SplitMix64;
-
-    #[test]
-    fn network_9_has_25_comparators() {
-        assert_eq!(NETWORK_9.len(), 25);
-        for &(a, b) in &NETWORK_9 {
-            assert!(a < b && b < 9);
-        }
-    }
-
-    #[test]
-    fn network_9_sorts_all_permutation_samples() {
-        let mut rng = SplitMix64::new(1);
-        for _ in 0..2_000 {
-            let len = 1 + (rng.next_bounded(9) as usize);
-            let mut v: Vec<u8> = (0..len).map(|_| rng.next_bounded(5) as u8).collect();
-            let mut expected = v.clone();
-            expected.sort_unstable();
-            sort_up_to_9(&mut v);
-            assert_eq!(v, expected);
-        }
-    }
-
-    #[test]
-    fn network_9_exhaustive_zero_one_principle() {
-        // By the 0-1 principle, a network that sorts all 2^9 binary inputs
-        // sorts all inputs.
-        for mask in 0u32..(1 << 9) {
-            let mut v: Vec<u8> = (0..9).map(|i| ((mask >> i) & 1) as u8).collect();
-            sort_up_to_9(&mut v);
-            assert!(v.windows(2).all(|w| w[0] <= w[1]), "mask {mask:#b}");
-        }
-    }
-
-    #[test]
-    fn count_runs_counts_distinct_adjacent_groups() {
-        assert_eq!(count_runs(&[1, 1, 2, 2, 2, 3]), 3);
-        assert_eq!(count_runs(&[5, 5, 5]), 1);
-        assert_eq!(count_runs::<u8>(&[]), 0);
-        assert_eq!(count_runs(&[1, 2, 1]), 3);
-    }
 
     #[test]
     fn batcher_network_sorts_random_inputs() {

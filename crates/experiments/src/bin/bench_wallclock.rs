@@ -10,7 +10,9 @@
 //!
 //! `--smoke` runs the CI-sized sweep (2^20 keys, 1/2/4 workers, 1 rep).
 //! `--sizes` takes base-2 exponents.  Every timed run follows a warm-up sort, so the scratch arena is hot and
-//! the numbers measure the algorithm, not the allocator.
+//! the numbers measure the algorithm, not the allocator.  Every point
+//! also carries `vs_std`, its throughput over a single-threaded `std`
+//! `sort_unstable` of the same input.
 
 use experiments::wallclock::{
     run_wallclock_sweep, wallclock_table, wallclock_to_json, WallclockConfig,
@@ -68,15 +70,23 @@ fn main() {
     let points = run_wallclock_sweep(&cfg);
     println!("{}", wallclock_table(&points));
 
-    // Headline: best threaded speedup per size on the uniform key-only
-    // workload — the number the perf trajectory tracks.
+    // Headline: the sequential sort over std and the best threaded speedup
+    // per size on the uniform key-only workload — the numbers the perf
+    // trajectory tracks.
     for &n in &cfg.sizes {
-        let best = points
-            .iter()
-            .filter(|p| p.workload == "uniform" && p.shape == "u32 keys" && p.n == n)
-            .map(|p| p.speedup_vs_seq)
-            .fold(0.0f64, f64::max);
-        println!("uniform u32 keys, n = {n}: best threaded speedup {best:.2}x");
+        let uniform = || {
+            points
+                .iter()
+                .filter(move |p| p.workload == "uniform" && p.shape == "u32 keys" && p.n == n)
+        };
+        let seq_vs_std = uniform()
+            .find(|p| p.workers == 1)
+            .map_or(f64::NAN, |p| p.vs_std);
+        let best = uniform().map(|p| p.speedup_vs_seq).fold(0.0f64, f64::max);
+        println!(
+            "uniform u32 keys, n = {n}: sequential {seq_vs_std:.2}x std, \
+             best threaded speedup {best:.2}x"
+        );
     }
     std::fs::write(&out_path, wallclock_to_json(&points))
         .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

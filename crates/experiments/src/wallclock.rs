@@ -10,7 +10,10 @@
 //!
 //! Every timed run is preceded by a warm-up sort of the same input, so the
 //! scratch arena is hot and the numbers measure the algorithm, not the
-//! allocator.
+//! allocator.  Each (workload, shape, size) also times one in-process
+//! `std` `sort_unstable` reference on a single thread, and every point
+//! carries its throughput as a ratio to that reference (`vs_std`), so the
+//! sweep reads across machines.
 
 use hrs_core::{Executor, HybridRadixSorter};
 use std::time::Instant;
@@ -38,6 +41,13 @@ pub struct WallclockPoint {
     pub bytes_per_sec: f64,
     /// Speedup over the sequential baseline of the same configuration.
     pub speedup_vs_seq: f64,
+    /// Best wall-clock seconds of the single-threaded `std` reference on
+    /// the same input: `sort_unstable` on the keys, or
+    /// `sort_unstable_by_key` on `(key, value)` records for pairs.
+    pub std_secs: f64,
+    /// Throughput relative to the `std` reference (`std_secs / secs`;
+    /// above 1 is faster than std).
+    pub vs_std: f64,
 }
 
 /// Sweep parameters.
@@ -97,8 +107,7 @@ fn executor_for(workers: usize) -> Executor {
     }
 }
 
-/// Measures one configuration: best-of-`reps` wall-clock of sorting `keys`
-/// (cloned per run) with optional index values, after one warm-up run.
+/// Best-of-`reps` wall-clock of `run`.
 fn measure<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
@@ -126,6 +135,26 @@ fn run_shape(
             workers_list.push(w);
         }
     }
+    // The std reference: one warm-up, then best of `reps`, like the sorter.
+    let std_run = || {
+        if pairs {
+            let mut records: Vec<(u32, u32)> = keys.iter().copied().zip(0..n as u32).collect();
+            let start = Instant::now();
+            records.sort_unstable_by_key(|r| r.0);
+            let secs = start.elapsed().as_secs_f64();
+            std::hint::black_box(&records);
+            secs
+        } else {
+            let mut k = keys.to_vec();
+            let start = Instant::now();
+            k.sort_unstable();
+            let secs = start.elapsed().as_secs_f64();
+            std::hint::black_box(&k);
+            secs
+        }
+    };
+    std_run();
+    let std_secs = measure(cfg.reps, std_run);
     let mut seq_secs = f64::NAN;
     for &workers in &workers_list {
         let exec = executor_for(workers);
@@ -159,6 +188,8 @@ fn run_shape(
             keys_per_sec: n as f64 / secs.max(1e-12),
             bytes_per_sec: n as f64 * record_bytes / secs.max(1e-12),
             speedup_vs_seq: seq_secs / secs.max(1e-12),
+            std_secs,
+            vs_std: std_secs / secs.max(1e-12),
         });
     }
 }
@@ -188,7 +219,8 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"shape\": \"{}\", \"n\": {}, \"workers\": {}, \
              \"backend\": \"{}\", \"secs\": {:.6}, \"keys_per_sec\": {:.1}, \
-             \"bytes_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}}}{}\n",
+             \"bytes_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \"std_secs\": {:.6}, \
+             \"vs_std\": {:.3}}}{}\n",
             p.workload,
             p.shape,
             p.n,
@@ -198,6 +230,8 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
             p.keys_per_sec,
             p.bytes_per_sec,
             p.speedup_vs_seq,
+            p.std_secs,
+            p.vs_std,
             if i + 1 == points.len() { "" } else { "," },
         ));
     }
@@ -208,11 +242,11 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
 /// Renders the sweep as an aligned text table (one row per point).
 pub fn wallclock_table(points: &[WallclockPoint]) -> String {
     let mut out = String::from(
-        "workload | shape          |        n | workers | backend     |    secs |   Mkeys/s |    MB/s | speedup\n",
+        "workload | shape          |        n | workers | backend     |    secs |   Mkeys/s |    MB/s | speedup | vs std\n",
     );
     for p in points {
         out.push_str(&format!(
-            "{:<8} | {:<14} | {:>8} | {:>7} | {:<11} | {:>7.3} | {:>9.2} | {:>7.1} | {:>6.2}x\n",
+            "{:<8} | {:<14} | {:>8} | {:>7} | {:<11} | {:>7.3} | {:>9.2} | {:>7.1} | {:>6.2}x | {:>5.2}x\n",
             p.workload,
             p.shape,
             p.n,
@@ -222,6 +256,7 @@ pub fn wallclock_table(points: &[WallclockPoint]) -> String {
             p.keys_per_sec / 1e6,
             p.bytes_per_sec / 1e6,
             p.speedup_vs_seq,
+            p.vs_std,
         ));
     }
     out
@@ -255,6 +290,16 @@ mod tests {
                 (p.bytes_per_sec - p.keys_per_sec * record).abs() < 1.0,
                 "{p:?}"
             );
+        }
+        // Every point of one (workload, shape) shares its std reference.
+        for p in &points {
+            assert!(p.std_secs > 0.0, "{p:?}");
+            assert!((p.vs_std - p.std_secs / p.secs).abs() < 1e-9, "{p:?}");
+            let first = points
+                .iter()
+                .find(|q| q.workload == p.workload && q.shape == p.shape && q.n == p.n)
+                .map(|q| q.std_secs);
+            assert_eq!(first, Some(p.std_secs), "{p:?}");
         }
         // The sequential baseline has speedup exactly 1.
         assert!(points
@@ -292,9 +337,10 @@ mod tests {
         assert_eq!(json.matches("\"workload\"").count(), points.len());
         assert!(json.contains("\"bench\": \"wallclock\""));
         assert_eq!(json.matches("\"bytes_per_sec\"").count(), points.len());
+        assert_eq!(json.matches("\"vs_std\"").count(), points.len());
         // No trailing comma before the closing bracket.
         assert!(!json.contains(",\n  ]"));
         let table = wallclock_table(&points);
-        assert!(table.contains("Mkeys/s"));
+        assert!(table.contains("Mkeys/s") && table.contains("vs std"));
     }
 }
