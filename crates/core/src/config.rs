@@ -275,9 +275,8 @@ impl SortConfig {
         if self.keys_per_block == 0 {
             return Err("keys_per_block must be positive".to_string());
         }
-        // The thread-reduction histogram of digits wider than 8 bits marks a
-        // block's counters with the top bit of a `u32`, which a block of
-        // 2^31 keys could reach.
+        // The thread-reduction histogram marks a block's counters with the
+        // top bit of a `u32`, which a block of 2^31 keys could reach.
         if self.keys_per_block >= crate::histogram::RUN_MARK as usize {
             return Err(format!(
                 "keys_per_block must be below 2^31, got {}",

@@ -15,26 +15,20 @@
 //!
 //! The thread reduction is priced, not executed: a sorted run issues one
 //! update per *distinct* digit, so the CPU counts each digit's first
-//! occurrence in its run inside the plain count loop and never sorts.  For
-//! digits of up to 8 bits a stack table stamps every digit with the last
-//! run that saw it; wider digits borrow the top bit of their counter as a
-//! "seen in this run" mark ([`RUN_MARK`]).  The
-//! block histograms are written to device memory so the scatter step can
-//! reuse them (costing `r × 4` bytes per block, "< 4 %" of the key traffic
-//! for the default `KPB`).
+//! occurrence in its run inside the plain count loop and never sorts; the
+//! top bit of a digit's counter serves as its "seen in this run" mark
+//! ([`RUN_MARK`]).  The block histograms are written to device memory so
+//! the scatter step can reuse them (costing `r × 4` bytes per block,
+//! "< 4 %" of the key traffic for the default `KPB`).
 
 use crate::digit::digit_width;
 use gpu_sim::HistogramStrategy;
 use workloads::SortKey;
 
 /// Top bit of a `u32` digit counter, borrowed by the thread-reduction count
-/// of digits wider than 8 bits to mark digits already seen in the current
-/// register run.  A block of fewer than 2^31 keys never reaches it.
+/// to mark digits already seen in the current register run.  A block of
+/// fewer than 2^31 keys never reaches it.
 pub const RUN_MARK: u32 = 1 << 31;
-
-/// Largest radix whose thread-reduction count keeps its run stamps in a
-/// stack table (8-bit digits, the default).
-const STAMP_RADIX: usize = 256;
 
 /// Histogram of one key block, plus the shared-memory atomic behaviour the
 /// chosen strategy exhibits on it.
@@ -93,8 +87,8 @@ pub fn block_histogram<K: SortKey>(
 /// slice of the scratch arena's per-block strip table) and returns
 /// `(atomic_updates, distinct_values)`.
 ///
-/// For digits wider than 8 bits, every entry of `counts` must stay below
-/// [`RUN_MARK`] (2^31) including this block's keys;
+/// For the thread-reduction strategy, every entry of `counts` must stay
+/// below [`RUN_MARK`] (2^31) including this block's keys;
 /// [`SortConfig::validate`](crate::SortConfig::validate) guarantees that
 /// for the sorter's blocks.
 ///
@@ -123,30 +117,11 @@ pub fn block_histogram_into<K: SortKey>(
         HistogramStrategy::ThreadReduction => {
             // A thread's sorted register run of up to nine digits issues one
             // atomicAdd per distinct digit, so count each digit's first
-            // occurrence in its run.
-            let kpt = keys_per_thread.max(1);
-            let runs = keys
-                .chunks(kpt)
-                .flat_map(|thread_keys| thread_keys.chunks(9));
-            if counts.len() <= STAMP_RADIX {
-                // Stamp every digit with the last run that saw it.
-                let mut stamps = [0u64; STAMP_RADIX];
-                for (run_id, run_keys) in (1u64..).zip(runs) {
-                    for k in run_keys {
-                        let d = digit(k);
-                        // `d < counts.len() <= STAMP_RADIX`: the mask only
-                        // spares the bounds check.
-                        let stamp = &mut stamps[d & (STAMP_RADIX - 1)];
-                        atomic_updates += u64::from(*stamp != run_id);
-                        *stamp = run_id;
-                        counts[d] += 1;
-                    }
-                }
-            } else {
-                // Too wide a digit for a stack table: the first occurrence
-                // sets `RUN_MARK` in the digit's counter, and the end of the
-                // run clears the (at most nine) marks again.
-                for run_keys in runs {
+            // occurrence in its run: it sets `RUN_MARK` in the digit's
+            // counter, and the end of the run clears the (at most nine)
+            // marks again.
+            for thread_keys in keys.chunks(keys_per_thread.max(1)) {
+                for run_keys in thread_keys.chunks(9) {
                     let mut run = [0usize; 9];
                     for (slot, k) in run.iter_mut().zip(run_keys) {
                         let d = digit(k);

@@ -242,14 +242,10 @@ pub fn radix_sort_bucket<K: SortKey, V: SortValue>(
 ) {
     let n = keys.len();
     let values_present = std::mem::size_of::<V>() != 0;
-    let (shift_buf, n_shifts, counts) = {
-        let input = src.map_or(&*keys, |(k, _)| k);
-        let (shift_buf, n_shifts) = varying_digits(input);
-        let counts = digit_counts(input, &shift_buf[..n_shifts]);
-        (shift_buf, n_shifts, counts)
-    };
+    let input = src.map_or(&*keys, |(k, _)| k);
+    let (shift_buf, n_shifts) = varying_digits(input);
     let shifts = &shift_buf[..n_shifts];
-    if shifts.is_empty() {
+    let Some(&first_shift) = shifts.first() else {
         if let Some((src_keys, src_vals)) = src {
             keys.copy_from_slice(src_keys);
             if values_present {
@@ -257,6 +253,12 @@ pub fn radix_sort_bucket<K: SortKey, V: SortValue>(
             }
         }
         return;
+    };
+    // Each pass counts the next pass's digit while it moves the keys, so
+    // only the first digit needs a sweep of its own.
+    let mut counts = [0u32; LOCAL_RADIX];
+    for k in input {
+        counts[local_digit(k.to_radix(), first_shift)] += 1;
     }
     let scratch_keys = &mut scratch_keys[..n];
     let scratch_vals = if values_present {
@@ -269,17 +271,20 @@ pub fn radix_sort_bucket<K: SortKey, V: SortValue>(
     // first one does.  `in_keys` tracks where the bucket sits before the
     // next pass.
     let odd = shifts.len() % 2 == 1;
-    let mut digits = shifts.iter().copied().zip(&counts);
+    let mut passes = shifts
+        .iter()
+        .enumerate()
+        .map(|(i, &shift)| (shift, shifts.get(i + 1).copied()));
     let mut in_keys = !odd;
     match src {
-        Some((src_keys, src_vals)) => {
+        Some(from) => {
             // The first pass reads the source directly.
-            if let Some((shift, digit_counts)) = digits.next() {
+            if let Some(pass) = passes.next() {
                 if odd {
-                    scatter_digit(src_keys, src_vals, keys, vals, shift, digit_counts);
+                    scatter_digit(from, (&mut *keys, &mut *vals), pass, &mut counts);
                 } else {
-                    let (to_keys, to_vals) = (&mut *scratch_keys, &mut *scratch_vals);
-                    scatter_digit(src_keys, src_vals, to_keys, to_vals, shift, digit_counts);
+                    let to = (&mut *scratch_keys, &mut *scratch_vals);
+                    scatter_digit(from, to, pass, &mut counts);
                 }
             }
             in_keys = odd;
@@ -293,11 +298,13 @@ pub fn radix_sort_bucket<K: SortKey, V: SortValue>(
         }
         None => {}
     }
-    for (shift, digit_counts) in digits {
+    for pass in passes {
         if in_keys {
-            scatter_digit(keys, vals, scratch_keys, scratch_vals, shift, digit_counts);
+            let to = (&mut *scratch_keys, &mut *scratch_vals);
+            scatter_digit((&*keys, &*vals), to, pass, &mut counts);
         } else {
-            scatter_digit(scratch_keys, scratch_vals, keys, vals, shift, digit_counts);
+            let to = (&mut *keys, &mut *vals);
+            scatter_digit((&*scratch_keys, &*scratch_vals), to, pass, &mut counts);
         }
         in_keys = !in_keys;
     }
@@ -323,51 +330,65 @@ fn varying_digits<K: SortKey>(keys: &[K]) -> ([u32; MAX_LOCAL_DIGITS], usize) {
     (shifts, len)
 }
 
-/// One counting sweep over `keys` that histograms every digit in `shifts`.
-fn digit_counts<K: SortKey>(keys: &[K], shifts: &[u32]) -> [[u32; LOCAL_RADIX]; MAX_LOCAL_DIGITS] {
-    let mut counts = [[0u32; LOCAL_RADIX]; MAX_LOCAL_DIGITS];
-    for k in keys {
-        let bits = k.to_radix();
-        for (digit_counts, &shift) in counts.iter_mut().zip(shifts) {
-            digit_counts[local_digit(bits, shift)] += 1;
-        }
-    }
-    counts
-}
-
 #[inline]
 fn local_digit(bits: u64, shift: u32) -> usize {
     ((bits >> shift) as usize) & (LOCAL_RADIX - 1)
 }
 
-/// One stable counting-sort pass on the digit at `shift`, from `src_*` to
-/// `dst_*`, given that digit's histogram of the keys.
+/// One stable counting-sort pass from `src` to `dst` on the digit at
+/// `shift`, given that digit's histogram of the keys in `counts`.  When a
+/// `next_shift` follows, `counts` is refilled with the histogram of that
+/// digit on the way; otherwise it is left as it was.
 fn scatter_digit<K: SortKey, V: SortValue>(
-    src_keys: &[K],
-    src_vals: &[V],
-    dst_keys: &mut [K],
-    dst_vals: &mut [V],
-    shift: u32,
-    counts: &[u32; LOCAL_RADIX],
+    src: (&[K], &[V]),
+    dst: (&mut [K], &mut [V]),
+    (shift, next_shift): (u32, Option<u32>),
+    counts: &mut [u32; LOCAL_RADIX],
 ) {
     let mut offsets = [0usize; LOCAL_RADIX];
     let mut sum = 0usize;
-    for (offset, &count) in offsets.iter_mut().zip(counts) {
+    for (offset, &count) in offsets.iter_mut().zip(counts.iter()) {
         *offset = sum;
         sum += count as usize;
     }
+    match next_shift {
+        Some(next) => {
+            *counts = [0; LOCAL_RADIX];
+            move_by_digit(src, dst, shift, &mut offsets, |bits| {
+                counts[local_digit(bits, next)] += 1;
+            });
+        }
+        None => move_by_digit(src, dst, shift, &mut offsets, |_| {}),
+    }
+}
+
+/// The key (and value) moves of [`scatter_digit`]: sends each key to the
+/// next free slot of its digit in `offsets` and hands its radix bits to
+/// `visit`.
+#[inline(always)]
+fn move_by_digit<K: SortKey, V: SortValue>(
+    (src_keys, src_vals): (&[K], &[V]),
+    (dst_keys, dst_vals): (&mut [K], &mut [V]),
+    shift: u32,
+    offsets: &mut [usize; LOCAL_RADIX],
+    mut visit: impl FnMut(u64),
+) {
     if std::mem::size_of::<V>() == 0 {
         for &k in src_keys {
-            let slot = &mut offsets[local_digit(k.to_radix(), shift)];
+            let bits = k.to_radix();
+            let slot = &mut offsets[local_digit(bits, shift)];
             dst_keys[*slot] = k;
             *slot += 1;
+            visit(bits);
         }
     } else {
         for (&k, &v) in src_keys.iter().zip(src_vals) {
-            let slot = &mut offsets[local_digit(k.to_radix(), shift)];
+            let bits = k.to_radix();
+            let slot = &mut offsets[local_digit(bits, shift)];
             dst_keys[*slot] = k;
             dst_vals[*slot] = v;
             *slot += 1;
+            visit(bits);
         }
     }
 }
