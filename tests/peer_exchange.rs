@@ -7,7 +7,9 @@
 //! capacity weights and shards that receive zero keys.
 //!
 //! The exchange path may differ in *schedule* (that is the point), never
-//! in *bytes*.
+//! in *bytes*.  Golden fingerprints of fault-free host-merge pair sorts
+//! pin the bytes themselves — keys and values, so the order of equal keys
+//! too — across pool sizes and host worker counts.
 
 use hybrid_radix_sort::gpu_sim::{DeviceSpec, LinkSpec, PeerTopology};
 use hybrid_radix_sort::multi_gpu::{DevicePool, ShardedSorter};
@@ -251,4 +253,116 @@ fn auto_strategy_is_equivalent_and_resolves_sensibly() {
         .sort(&mut solo);
     assert_eq!(solo, reference);
     assert_eq!(report.recombine, RecombineStrategy::HostMerge);
+}
+
+/// FNV-1a over every key's radix bytes, then every value's bytes: one
+/// number that changes if any key or any value moves.
+fn fingerprint<K: SortKey>(keys: &[K], vals: &[u32]) -> u64 {
+    let key_bytes = keys.iter().flat_map(|k| k.to_radix().to_le_bytes());
+    let val_bytes = vals.iter().flat_map(|v| v.to_le_bytes());
+    key_bytes
+        .chain(val_bytes)
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Fault-free host-merge pair sort of `keys` with their row ids on `p`
+/// PCIe Titans, host executor and merge on `workers` threads.
+fn golden_pair_sort<K: SortKey>(
+    keys: &[K],
+    p: usize,
+    workers: usize,
+) -> (Vec<K>, Vec<u32>, ShardedReport) {
+    let cfg = SortConfig::for_widths(K::BYTES, 4).scaled_for(40_000, 250_000_000);
+    let sorter = ShardedSorter::new(DevicePool::titan_cluster(p))
+        .with_sorter(HybridRadixSorter::new(cfg))
+        .with_host_executor(Executor::with_workers(workers))
+        .with_merge_threads(workers)
+        .with_recombine_strategy(RecombineStrategy::HostMerge);
+    let (mut k, mut v) = (keys.to_vec(), (0..keys.len() as u32).collect());
+    let report = sorter.sort_pairs(&mut k, &mut v);
+    (k, v, report)
+}
+
+/// Zipf(0.75) `u64` keys (universe n/4) plus heavy runs of the two keys on
+/// either side of every cut a first sort of the plain Zipf input chose, so
+/// the largest duplicate runs sit at the shard boundaries.
+fn zipf_heavy_at_cuts(n: usize, p: usize, seed: u64) -> Vec<u64> {
+    let mut keys: Vec<u64> = ZipfGenerator::new(0.75, (n / 4) as u64, seed).generate(n);
+    let (_, _, probe) = golden_pair_sort(&keys, p, 1);
+    for &cut in &probe.splitters.cuts {
+        for k in [cut - 1, cut] {
+            keys.extend(std::iter::repeat_n(k, n / 32));
+        }
+    }
+    // Spread the heavy runs through the input instead of leaving them at
+    // the tail.
+    let len = keys.len();
+    for i in 0..len {
+        keys.swap(i, (i * 7_919) % len);
+    }
+    keys
+}
+
+/// Every boundary between two shards of `report` has a run of at least
+/// `heavy` equal keys on one side of it in the sorted output `k`.
+fn assert_heavy_at_boundaries(k: &[u64], report: &ShardedReport, heavy: usize) {
+    let mut at = 0;
+    for s in &report.shards[..report.shards.len() - 1] {
+        at += s.n as usize;
+        let run = |x: u64| k.partition_point(|&y| y <= x) - k.partition_point(|&y| y < x);
+        assert!(
+            run(k[at - 1]).max(run(k[at])) >= heavy,
+            "no heavy run next to the boundary at {at}"
+        );
+    }
+}
+
+/// Golden byte-identity of fault-free `HostMerge` pair sorts: the keys and
+/// row ids of every output must hash to the pinned fingerprint, for every
+/// pool size and host worker count.  The fingerprints pin the exact order
+/// of equal keys, so any recombination change that moves a single value
+/// — not only one that breaks sortedness — fails here.
+#[test]
+fn host_merge_pair_outputs_match_golden_fingerprints() {
+    const GOLDEN: [(&str, usize, u64); 7] = [
+        ("zipf-u64", 2, 0x0d29_397f_1b5e_2073),
+        ("zipf-u64", 3, 0x2061_10be_c4a7_6453),
+        ("zipf-u64", 4, 0xfec7_2360_f3f5_445f),
+        ("uniform-u32", 2, 0x578c_2982_0813_c191),
+        ("uniform-u32", 3, 0x578c_2982_0813_c191),
+        ("uniform-u32", 4, 0x578c_2982_0813_c191),
+        ("tiny-u64", 4, 0x98c3_c911_1ca5_2f31),
+    ];
+    for (case, p, expected) in GOLDEN {
+        for workers in [1usize, 2, 7] {
+            let got = match case {
+                "zipf-u64" => {
+                    let keys = zipf_heavy_at_cuts(48_000, p, 2017);
+                    let (k, v, report) = golden_pair_sort(&keys, p, workers);
+                    assert_eq!(k, KeyCodec::std_sorted(&keys), "{case} p={p}");
+                    assert_heavy_at_boundaries(&k, &report, 48_000 / 32);
+                    fingerprint(&k, &v)
+                }
+                "uniform-u32" => {
+                    let keys = uniform_keys::<u32>(40_000, 514);
+                    let (k, v, _) = golden_pair_sort(&keys, p, workers);
+                    assert_eq!(k, KeyCodec::std_sorted(&keys), "{case} p={p}");
+                    fingerprint(&k, &v)
+                }
+                _ => {
+                    let keys = vec![7u64 << 40, 3, 7 << 40, 1 << 63, 3];
+                    let (k, v, report) = golden_pair_sort(&keys, p, workers);
+                    assert!(
+                        report.shards.iter().any(|s| s.n == 0),
+                        "the tiny input must leave a shard empty"
+                    );
+                    assert_eq!(k, KeyCodec::std_sorted(&keys), "{case} p={p}");
+                    fingerprint(&k, &v)
+                }
+            };
+            assert_eq!(got, expected, "{case} p={p} workers={workers}");
+        }
+    }
 }
