@@ -25,9 +25,13 @@
 //!
 //! A fault-free sort is round 0 with nothing requeued; [`crate::recovery`]
 //! describes the retry rounds.  After the rounds, one recombination step
-//! runs once on all finished runs: the host p-way merge of
-//! [`hetero::parallel_merge_sorted_runs_by`] (overlapped with the chunk
-//! stream out of core) or the peer exchange of [`crate::exchange`].
+//! runs once on all finished runs, directly or after the peer exchange of
+//! [`crate::exchange`].  Its host step (`ShardedSorter::recombine`)
+//! concatenates runs that tile the key space — the range shards of an
+//! in-core sort, retry rounds' sub-ranges, the exchange's output ranges —
+//! and runs the p-way merge of [`hetero::parallel_merge_sorted_runs_by`]
+//! only over runs that overlap: out-of-core chunks (the modeled merge
+//! overlaps the chunk stream) and exchange orphans.
 
 use crate::device_pool::DevicePool;
 use crate::exchange::{carve_slabs, slab_lengths, RecombineStrategy};
@@ -440,32 +444,27 @@ impl ShardedSorter {
         }
         drop(pending);
 
-        let (exchange, outputs, tiled) = if peer {
+        let (exchange, outputs) = if peer {
             self.exchange(&mut r)
         } else {
-            (Vec::new(), Vec::new(), false)
+            (Vec::new(), Vec::new())
         };
         let critical_path = r.tl.makespan();
 
-        // The host step (measured): the p-way merge of every finished run,
-        // or of the exchange's output runs — which merely concatenate when
-        // they tile the key space in order.
+        // The host step (measured): recombine every finished run, or the
+        // exchange's output runs — a concatenation when they tile the key
+        // space, the p-way merge when they overlap.
         let merge_span = self
             .inspector
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        let runs: Vec<(&[K], &[V])> = if peer {
-            outputs.iter().map(|(k, v)| (&k[..], &v[..])).collect()
+        let runs = if peer {
+            outputs
         } else {
-            r.runs.iter().map(|u| (&u.keys[..], &u.vals[..])).collect()
+            let take =
+                |u: &mut Unit<K, V>| (std::mem::take(&mut u.keys), std::mem::take(&mut u.vals));
+            r.runs.iter_mut().map(take).collect()
         };
-        (*keys, *values) = if tiled {
-            (
-                runs.iter().flat_map(|run| run.0.iter().copied()).collect(),
-                runs.iter().flat_map(|run| run.1.iter().copied()).collect(),
-            )
-        } else {
-            self.merge_runs(&runs)
-        };
+        (*keys, *values) = self.recombine(runs);
         let measured_merge = merge_span.finish();
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
@@ -743,6 +742,46 @@ impl ShardedSorter {
             ready: stage.chunked_sort,
             ..u
         }));
+    }
+
+    /// The host recombination step over sorted runs handed over in any
+    /// order.  Empty runs are dropped and the rest ordered by first key;
+    /// when every run's last key is strictly below the next run's first
+    /// key (in radix order) the runs tile the key space and are
+    /// concatenated: each is appended to the first one's buffers and freed.
+    /// Otherwise (out-of-core chunks, exchange orphans) they go through
+    /// [`Self::merge_runs`] in the order given.  The strict test keeps the
+    /// two arms byte-identical, values included: no key of one run equals
+    /// a key of another, so the merge could only concatenate.
+    pub(crate) fn recombine<K: SortKey, V: SortValue>(
+        &self,
+        mut runs: Vec<Elements<K, V>>,
+    ) -> Elements<K, V> {
+        runs.retain(|(k, _)| !k.is_empty());
+        let mut spans: Vec<(u64, u64)> = runs
+            .iter()
+            .map(|(k, _)| (k[0].to_radix(), k[k.len() - 1].to_radix()))
+            .collect();
+        spans.sort_unstable();
+        if !spans.windows(2).all(|w| w[0].1 < w[1].0) {
+            self.inspector.counter(tp::RECOMBINE_MERGED).inc();
+            let refs: Vec<(&[K], &[V])> = runs.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+            return self.merge_runs(&refs);
+        }
+        self.inspector.counter(tp::RECOMBINE_CONCATENATED).inc();
+        let n = runs.iter().map(|run| run.0.len()).sum::<usize>();
+        runs.sort_unstable_by_key(|(k, _)| k[0].to_radix());
+        let mut runs = runs.into_iter();
+        let Some((mut keys, mut vals)) = runs.next() else {
+            return (Vec::new(), Vec::new());
+        };
+        keys.reserve_exact(n - keys.len());
+        vals.reserve_exact(n - vals.len());
+        for (mut k, mut v) in runs {
+            keys.append(&mut k);
+            vals.append(&mut v);
+        }
+        (keys, vals)
     }
 
     /// Zips every run's keys with its values, p-way merges the runs on
@@ -1249,6 +1288,78 @@ mod tests {
                 "lane arena gauge grew on a repeated same-size sort"
             );
         }
+    }
+
+    /// A run of `keys` whose values name the run and the position in it.
+    fn run(tag: u32, keys: &[u64]) -> Elements<u64, u32> {
+        (
+            keys.to_vec(),
+            (0..keys.len() as u32).map(|i| tag * 100 + i).collect(),
+        )
+    }
+
+    /// `(concatenated, merged)` recombine counts of `sorter`.
+    fn recombine_counts(sorter: &ShardedSorter) -> (u64, u64) {
+        let snap = sorter.inspector().snapshot();
+        let count = |leaf| {
+            snap.node("multi_gpu/recombine")
+                .and_then(|n| n.uint(leaf))
+                .unwrap_or(0)
+        };
+        (count("concatenated"), count("merged"))
+    }
+
+    #[test]
+    fn recombine_of_empty_runs_is_empty() {
+        let sorter = test_sorter(2);
+        assert_eq!(sorter.recombine::<u64, u32>(Vec::new()), (vec![], vec![]));
+        assert_eq!(
+            sorter.recombine(vec![run(0, &[]), run(1, &[])]),
+            (vec![], vec![])
+        );
+        assert_eq!(recombine_counts(&sorter), (2, 0));
+    }
+
+    #[test]
+    fn recombine_hands_one_run_back_whole() {
+        let sorter = test_sorter(2);
+        let one = run(3, &[2, 2, 5, 9]);
+        assert_eq!(sorter.recombine(vec![one.clone()]), one);
+        assert_eq!(recombine_counts(&sorter), (1, 0));
+    }
+
+    #[test]
+    fn recombine_concatenates_runs_handed_over_out_of_order() {
+        let sorter = test_sorter(2);
+        let runs = vec![run(0, &[20, 21]), run(1, &[1, 5, 5]), run(2, &[10, 12])];
+        let refs: Vec<(&[u64], &[u32])> = runs.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        let merged = sorter.merge_runs(&refs);
+        let out = sorter.recombine(runs);
+        assert_eq!(out.0, vec![1, 5, 5, 10, 12, 20, 21]);
+        assert_eq!(out.1, vec![100, 101, 102, 200, 201, 0, 1]);
+        assert_eq!(
+            out, merged,
+            "concatenation must match the merge byte for byte"
+        );
+        assert_eq!(recombine_counts(&sorter), (1, 0));
+    }
+
+    #[test]
+    fn recombine_merges_runs_sharing_a_key_across_the_boundary() {
+        let sorter = test_sorter(2);
+        let out = sorter.recombine(vec![run(1, &[7, 9]), run(0, &[1, 5, 7])]);
+        assert_eq!(out.0, vec![1, 5, 7, 7, 9]);
+        // The merge keeps the handed-over order among equal keys.
+        assert_eq!(out.1, vec![0, 1, 100, 2, 101]);
+        assert_eq!(recombine_counts(&sorter), (0, 1));
+    }
+
+    #[test]
+    fn recombine_skips_an_empty_run_between_two_others() {
+        let sorter = test_sorter(2);
+        let out = sorter.recombine(vec![run(0, &[1, 2]), run(1, &[]), run(2, &[3, 4])]);
+        assert_eq!(out, (vec![1, 2, 3, 4], vec![0, 1, 200, 201]));
+        assert_eq!(recombine_counts(&sorter), (1, 0));
     }
 
     #[test]

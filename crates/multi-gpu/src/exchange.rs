@@ -260,15 +260,14 @@ impl ShardedSorter {
     /// destination's output range (functionally on the host, measured
     /// into the exchange histogram) and schedules its merge and download,
     /// replacing the rounds' slab reports with one report per output
-    /// range.  Returns the exchange spans, the output runs — the merged
-    /// ranges in destination order, then any orphan buckets — and whether
-    /// they tile the key space in order (no orphans).
+    /// range.  Returns the exchange spans and the output runs: the merged
+    /// ranges in destination order, then any orphan buckets.
     /// Every event label but the local sorts' lacks `sort` —
     /// [`ShardedReport::last_sort_finish`] relies on that discipline.
     pub(crate) fn exchange<K: SortKey, V: SortValue>(
         &self,
         r: &mut Rounds<K, V>,
-    ) -> (Vec<ExchangeSpan>, Vec<Elements<K, V>>, bool) {
+    ) -> (Vec<ExchangeSpan>, Vec<Elements<K, V>>) {
         let (splitters, dests) = r.first.as_ref().expect("round 0 always partitions");
         let ranges = splitters.ranges();
         let topo = self.pool.peer_topology();
@@ -445,9 +444,8 @@ impl ShardedSorter {
             shards.push((g, report));
         }
         r.shards = shards;
-        let tiled = orphans.is_empty();
         outputs.extend(orphans);
-        (exchange, outputs, tiled)
+        (exchange, outputs)
     }
 }
 

@@ -20,10 +20,11 @@
 //!    with each other completely.  Chunk sorts are real (the device lane's
 //!    [`hrs_core::HybridRadixSorter`]); CPU sockets contribute measured
 //!    wall-clock, GPUs their modelled time.
-//! 4. **Recombine** all chunk runs with the generalised parallel p-way
-//!    merge — chunks of one shard interleave, shards do not, and the
-//!    loser-tree merge handles both without caring.  The modeled merge
-//!    overlaps the chunk stream: each chunk run is consumed as it lands.
+//! 4. **Recombine** all chunk runs: chunks of one shard overlap, so the
+//!    host step takes its merge arm, the generalised parallel p-way merge
+//!    (shards do not interleave, and the loser-tree merge handles both
+//!    without caring).  The modeled merge overlaps the chunk stream: each
+//!    chunk run is consumed as it lands.
 //!
 //! The paper's example becomes pool-wide: four 12 GB GPUs and 4 GB chunks
 //! sort 256 GB with a single merging pass per device.

@@ -195,7 +195,8 @@ pub struct ShardedReport {
     /// Measured wall-clock duration of the host-side partitioning
     /// (splitter selection + scatter into shard buffers).
     pub measured_partition: std::time::Duration,
-    /// Measured wall-clock duration of the host-side p-way merge.
+    /// Measured wall-clock duration of the host recombination step: a
+    /// concatenation of tiled runs or the p-way merge of overlapping ones.
     pub measured_merge: std::time::Duration,
     /// End-to-end time: host partition, device critical path, host merge.
     pub end_to_end: SimTime,

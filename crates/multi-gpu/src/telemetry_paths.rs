@@ -13,6 +13,11 @@ pub const SORTS: &str = "multi_gpu/sorts";
 /// Keys sorted across all multi-GPU sorts.
 pub const KEYS: &str = "multi_gpu/keys";
 
+/// Host recombinations that concatenated runs tiling the key space.
+pub const RECOMBINE_CONCATENATED: &str = "multi_gpu/recombine/concatenated";
+/// Host recombinations that p-way merged overlapping runs.
+pub const RECOMBINE_MERGED: &str = "multi_gpu/recombine/merged";
+
 /// Bytes moved by the peer all-to-all bucket exchange.
 pub const EXCHANGE_BYTES: &str = "multi_gpu/exchange/bytes";
 /// Fraction of exchange traffic overlapped with device merges.

@@ -130,3 +130,53 @@ fn one_snapshot_covers_the_whole_stack() {
     assert_eq!(parsed, snap);
     service.shutdown();
 }
+
+/// How often `sorter` recombined by concatenation and by merge.
+fn recombine_counts(sorter: &ShardedSorter) -> (u64, u64) {
+    let snap = sorter.inspector().snapshot();
+    let count = |leaf: &str| {
+        snap.node("multi_gpu/recombine")
+            .and_then(|node| node.uint(leaf))
+            .unwrap_or(0)
+    };
+    (count("concatenated"), count("merged"))
+}
+
+/// The recombine counters say which arm of the host step ran: range
+/// shards tile the key space and concatenate; out-of-core chunks of one
+/// shard overlap and merge, and so do the orphan buckets a device failing
+/// mid-exchange leaves behind.  A device failing before its in-core sort
+/// hands back one whole shard range, so that retry still tiles.
+#[test]
+fn recombine_counters_tell_concatenation_from_merge() {
+    let sorter = ShardedSorter::new(DevicePool::titan_cluster(4));
+    let mut keys = workloads::uniform_keys::<u64>(50_000, 41);
+    sorter.sort(&mut keys);
+    assert_eq!(recombine_counts(&sorter), (1, 0), "fault-free in core");
+
+    let mut spec = DeviceSpec::titan_x_pascal();
+    spec.device_memory_bytes = 1 << 20;
+    let sorter = ShardedSorter::new(DevicePool::homogeneous(2, SimDevice::on_pcie3(spec)));
+    let mut keys = workloads::uniform_keys::<u64>(100_000, 43);
+    let report = sorter.sort_out_of_core(&mut keys);
+    assert!(
+        report.ooc_chunks.len() > 2,
+        "the shards must stream in chunks"
+    );
+    assert_eq!(recombine_counts(&sorter), (0, 1), "out of core");
+
+    let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(3))
+        .with_recombine_strategy(RecombineStrategy::PeerExchange)
+        .with_fault_plan(FaultPlan::fail_device(1, 1));
+    let mut keys = workloads::uniform_keys::<u64>(60_000, 47);
+    let report = sorter.try_sort(&mut keys).expect("survivors recover");
+    assert_eq!(report.faults[0].kind, FaultEventKind::DeviceFailure);
+    assert_eq!(recombine_counts(&sorter), (0, 1), "mid-exchange retry");
+
+    let sorter = ShardedSorter::new(DevicePool::titan_cluster(4))
+        .with_fault_plan(FaultPlan::fail_device(1, 0));
+    let mut keys = workloads::uniform_keys::<u64>(60_000, 53);
+    let report = sorter.try_sort(&mut keys).expect("survivors recover");
+    assert_eq!(report.faults[0].kind, FaultEventKind::DeviceFailure);
+    assert_eq!(recombine_counts(&sorter), (1, 0), "in-core retry");
+}
